@@ -12,7 +12,14 @@ considered internal (see ``docs/ARCHITECTURE.md``).
 
 Note: the ``build`` name is the *function* (``repro.build(spec)``); the
 module it lives in remains importable as ``from repro.build import ...``.
+
+Importing the package runs numpy's BLAS on one thread per process
+(see :mod:`repro._blas`), overriding ``OPENBLAS_NUM_THREADS``.
 """
+
+from repro import _blas
+
+_blas.set_num_threads(1)
 
 from repro.asr.registry import (
     available_asr_names,

@@ -16,7 +16,7 @@ Implements the attack side of the paper's evaluation:
 """
 
 from repro.attacks.base import AttackResult, TargetedAttack
-from repro.attacks.alignment import target_frame_alignment
+from repro.attacks.alignment import HostTooShortError, target_frame_alignment
 from repro.attacks.whitebox import WhiteBoxCarliniAttack
 from repro.attacks.blackbox import BlackBoxGeneticAttack
 from repro.attacks.nontargeted import make_nontargeted_example
@@ -25,6 +25,7 @@ from repro.attacks.recursive import RecursiveTransferAttack
 __all__ = [
     "AttackResult",
     "TargetedAttack",
+    "HostTooShortError",
     "target_frame_alignment",
     "WhiteBoxCarliniAttack",
     "BlackBoxGeneticAttack",

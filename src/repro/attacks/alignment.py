@@ -17,6 +17,14 @@ from repro.text.normalize import tokenize
 from repro.text.phonemes import PHONEME_TO_INDEX, SILENCE, Phoneme, phoneme_profile
 
 
+class HostTooShortError(ValueError):
+    """The host audio has too few frames to carry the target phrase.
+
+    A property of the host, not of the attack: dataset builders catch it
+    and move on to the next host.
+    """
+
+
 def target_frame_alignment(target_text: str, n_frames: int, lexicon: Lexicon,
                            min_frames_per_phoneme: int = 2) -> np.ndarray:
     """Assign a target phoneme index to each of ``n_frames`` frames.
@@ -33,15 +41,17 @@ def target_frame_alignment(target_text: str, n_frames: int, lexicon: Lexicon,
         Integer array of length ``n_frames`` with phoneme indices.
 
     Raises:
-        ValueError: if the host audio is too short to carry the phrase.
+        HostTooShortError: if the host audio is too short to carry the
+            phrase.
+        ValueError: if the phrase is empty after normalisation.
     """
     if n_frames <= 0:
-        raise ValueError("host audio produced no frames")
+        raise HostTooShortError("host audio produced no frames")
     phonemes = lexicon.pronounce_sentence(target_text)
     if len(phonemes) <= 2:
         raise ValueError("target text is empty after normalisation")
     if n_frames < len(phonemes) * min_frames_per_phoneme:
-        raise ValueError(
+        raise HostTooShortError(
             f"host audio too short: {n_frames} frames for {len(phonemes)} phonemes")
 
     durations = np.array([phoneme_profile(p).duration for p in phonemes])
@@ -110,6 +120,11 @@ def target_alignment_from_host(target_text: str, host_frame_labels: list[Phoneme
 
     Returns:
         Integer array with one target phoneme index per host frame.
+
+    Raises:
+        HostTooShortError: if the host's speech frames cannot carry the
+            phrase.
+        ValueError: if the phrase is empty or the host has no speech.
     """
     n_frames = len(host_frame_labels)
     words = tokenize(target_text)
@@ -160,7 +175,8 @@ def target_alignment_from_host(target_text: str, host_frame_labels: list[Phoneme
                 region_end = min(last_speech, region_start + needed - 1)
                 span = region_end - region_start + 1
             if span < needed:
-                raise ValueError("host audio too short for the target phrase")
+                raise HostTooShortError(
+                    "host audio too short for the target phrase")
             alignment[region_start:region_end + 1] = _stretch_phonemes(
                 phonemes, span, min_frames_per_phoneme)
         return alignment
@@ -170,7 +186,7 @@ def target_alignment_from_host(target_text: str, host_frame_labels: list[Phoneme
     span = last_speech - first_speech + 1
     phonemes = lexicon.pronounce_sentence(target_text)
     if span < len(phonemes) * min_frames_per_phoneme:
-        raise ValueError("host audio too short for the target phrase")
+        raise HostTooShortError("host audio too short for the target phrase")
     alignment[first_speech:last_speech + 1] = _stretch_phonemes(
         phonemes, span, min_frames_per_phoneme)
     return alignment

@@ -2,8 +2,9 @@
 
 Builds the benign, white-box AE, black-box AE and non-targeted AE datasets
 used throughout the evaluation.  Every AE is verified to fool the target
-model (the paper verifies the same property); failed attack attempts are
-retried with different hosts before being dropped.
+model (the paper verifies the same property); failed attack attempts,
+including hosts too short to carry the command, are retried with
+different hosts before being dropped.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.asr.registry import build_asr, get_shared_lexicon
+from repro.attacks.alignment import HostTooShortError
 from repro.attacks.blackbox import BlackBoxGeneticAttack
 from repro.attacks.nontargeted import make_nontargeted_example
 from repro.attacks.whitebox import WhiteBoxCarliniAttack
@@ -100,7 +102,11 @@ def build_whitebox_dataset(n_samples: int, seed: int = DEFAULT_SEED,
         for _ in range(max_attempts_per_ae):
             host_text = hosts.sample_one(rng)
             host = synthesizer.synthesize(host_text, rng=rng)
-            result = attack.run(host, command)
+            try:
+                result = attack.run(host, command)
+            except HostTooShortError:
+                result = None
+                continue
             if result.success:
                 break
         if result is not None and result.success:
@@ -129,7 +135,11 @@ def build_blackbox_dataset(n_samples: int, seed: int = DEFAULT_SEED,
             attack = BlackBoxGeneticAttack(target_asr, seed=attempt_seed)
             host_text = hosts.sample_one(rng)
             host = synthesizer.synthesize(host_text, rng=rng)
-            result = attack.run(host, command)
+            try:
+                result = attack.run(host, command)
+            except HostTooShortError:
+                result = None
+                continue
             if result.success:
                 break
         if result is not None and result.success:

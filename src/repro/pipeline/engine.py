@@ -11,7 +11,12 @@ original sequential path so the paper's timing tables stay reproducible.
 
 Threads, not processes, are the right pool here: the simulated ASRs are
 numpy-heavy (the FFT front end and template scoring release the GIL) and
-their model state is effectively immutable after fitting.  The one
+their model state is effectively immutable after fitting.  BLAS itself
+runs on one thread per process (``import repro`` pins it, see
+:mod:`repro._blas`): the matmuls are small, this pool already spreads
+the suite over the CPUs, and OpenBLAS's own pool spin-waited between
+calls — on 2 vCPUs a sequential ``detect()`` of a 5 s clip cost about
+180 ms of CPU for 90 ms of wall time, and 87 ms of both once pinned.  The one
 mutable piece is the word decoder's per-instance segment memo dict,
 which only ever inserts deterministic values — concurrent inserts are
 benign under CPython's atomic dict operations, but it is *not* strictly

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -83,6 +84,8 @@ from repro.serving.arena import (
     restore_waveform,
     share_waveform,
 )
+
+logger = logging.getLogger(__name__)
 
 #: Typed outcome statuses, with their HTTP-flavoured codes.
 STATUS_CODES = {"ok": 200, "rejected": 429, "timeout": 504, "error": 500}
@@ -145,7 +148,9 @@ class ServiceStats:
     result payload bytes shipped back.  ``requests_retried`` counts the
     distinct requests that were ever retried after a worker crash
     (``retries`` counts retry *events*; they coincide under the
-    retry-once policy).
+    retry-once policy).  ``cache_refresh_failures`` counts the results
+    whose worker failed to merge the shared caches before serving their
+    batch (the batch is still served; the worker logs a warning).
     """
 
     submitted: int = 0
@@ -158,6 +163,7 @@ class ServiceStats:
     respawns: int = 0
     ipc_bytes_out: int = 0
     ipc_bytes_in: int = 0
+    cache_refresh_failures: int = 0
 
     def snapshot(self) -> "ServiceStats":
         return replace(self)
@@ -274,11 +280,24 @@ def _worker_main(worker_id: int, pipelines: Mapping[str, Any],
 
 def _run_batch(worker_id: int, pipelines, batch, result_conn,
                shared_caches: bool, arena: ShmArena | None = None) -> None:
+    refresh_failed = False
     if shared_caches:
         try:
             _refresh_shared_caches(pipelines)
-        except Exception:
-            pass  # a torn refresh must never take down the batch
+        except Exception as exc:
+            # A torn refresh must never take down the batch: serve it
+            # from this worker's own cache entries and flag its results.
+            refresh_failed = True
+            logger.warning("worker %d: shared-cache refresh failed (%s: %s);"
+                           " serving the batch without other workers'"
+                           " entries", worker_id, type(exc).__name__, exc,
+                           exc_info=True)
+
+    def post(key: int, payload: dict) -> None:
+        if refresh_failed:
+            payload["cache_refresh_failed"] = True
+        _post_result(result_conn, (worker_id, key, payload))
+
     by_tenant: dict[str, list] = {}
     for key, tenant, payload in batch:
         try:
@@ -286,10 +305,7 @@ def _run_batch(worker_id: int, pipelines, batch, result_conn,
         except ArenaError as exc:
             # A stale/unreadable descriptor must not poison the batch:
             # answer this request with a typed error and keep going.
-            _post_result(result_conn, (worker_id, key, {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }))
+            post(key, {"ok": False, "error": f"{type(exc).__name__}: {exc}"})
             continue
         by_tenant.setdefault(tenant, []).append((key, audio))
     for tenant, items in by_tenant.items():
@@ -317,7 +333,7 @@ def _run_batch(worker_id: int, pipelines, batch, result_conn,
                         "error": f"{type(exc).__name__}: {exc}",
                     }))
         for key, payload in payloads:
-            _post_result(result_conn, (worker_id, key, payload))
+            post(key, payload)
 
 
 class DetectionService:
@@ -800,6 +816,8 @@ class DetectionService:
     def _handle_result(self, worker_id: int, key: int, payload: dict) -> None:
         with self._lock:
             self.stats.ipc_bytes_in += self._result_nbytes(payload)
+            if payload.get("cache_refresh_failed"):
+                self.stats.cache_refresh_failures += 1
             request = self._requests.pop(key, None)
             for inflight in self._inflight.values():
                 inflight.pop(key, None)

@@ -7,7 +7,11 @@ seconds each); they each craft a single AE.
 import numpy as np
 import pytest
 
-from repro.attacks.alignment import target_alignment_from_host, target_frame_alignment
+from repro.attacks.alignment import (
+    HostTooShortError,
+    target_alignment_from_host,
+    target_frame_alignment,
+)
 from repro.attacks.blackbox import BlackBoxGeneticAttack
 from repro.attacks.nontargeted import make_nontargeted_example
 from repro.attacks.whitebox import WhiteBoxCarliniAttack
@@ -44,6 +48,69 @@ def test_alignment_from_host_keeps_edges_silent(lexicon):
 def test_alignment_from_host_requires_speech(lexicon):
     with pytest.raises(ValueError):
         target_alignment_from_host("open", [SILENCE] * 50, lexicon)
+
+
+def test_host_too_short_raises_the_typed_error(lexicon):
+    with pytest.raises(HostTooShortError):
+        target_frame_alignment("open the front door now please", 10, lexicon)
+    with pytest.raises(HostTooShortError):
+        target_frame_alignment("open", 0, lexicon)
+    with pytest.raises(HostTooShortError):
+        target_alignment_from_host(
+            "open the front door", [SILENCE] + ["AA"] * 6 + [SILENCE], lexicon)
+    # A host without speech is not "too short": builders must not skip it
+    # silently under the same error.
+    with pytest.raises(ValueError) as excinfo:
+        target_alignment_from_host("open", [SILENCE] * 50, lexicon)
+    assert not isinstance(excinfo.value, HostTooShortError)
+    assert issubclass(HostTooShortError, ValueError)
+
+
+def test_whitebox_builder_moves_past_a_host_too_short(monkeypatch, ds0):
+    # Seed 1000's first host is too short for its command; the builder
+    # must count that as a failed attempt and try the next host.
+    from repro.datasets import builder
+
+    skipped = []
+
+    class RecordingAttack(WhiteBoxCarliniAttack):
+        def run(self, host, target_text):
+            try:
+                return super().run(host, target_text)
+            except HostTooShortError as exc:
+                skipped.append(exc)
+                raise
+
+    monkeypatch.setattr(builder, "WhiteBoxCarliniAttack", RecordingAttack)
+    samples = builder.build_whitebox_dataset(1, seed=1000)
+    assert skipped, "seed 1000 no longer hits a host too short"
+    [sample] = samples
+    assert sample.label == 1
+    command = sample.waveform.metadata["target_text"]
+    assert ds0.transcribe(sample.waveform).text == command
+
+
+def test_blackbox_builder_moves_past_a_host_too_short(monkeypatch):
+    from types import SimpleNamespace
+
+    from repro.datasets import builder
+
+    hosts = []
+
+    class ShortFirstHostAttack:
+        def __init__(self, target_asr, seed):
+            pass
+
+        def run(self, host, target_text):
+            hosts.append(host)
+            if len(hosts) == 1:
+                raise HostTooShortError("host audio too short")
+            return SimpleNamespace(success=True, adversarial=host)
+
+    monkeypatch.setattr(builder, "BlackBoxGeneticAttack", ShortFirstHostAttack)
+    [sample] = builder.build_blackbox_dataset(1, seed=3)
+    assert len(hosts) == 2
+    assert sample.waveform is hosts[1]
 
 
 def test_whitebox_requires_mfcc_frontend():

@@ -18,7 +18,10 @@ contents, including empty and single-frame edge cases) covering:
 * ``BigramLanguageModel.word_scores`` vs per-word ``word_score``
 * ``WordDecoder`` fast vs scalar lexicon search
 
-plus the float64 dtype-stability guarantee of the front ends.
+plus the float64 dtype-stability guarantee of the front ends, and the
+BLAS thread pin: ``import repro`` runs every loaded OpenBLAS on one
+thread, and the front ends, the acoustic model and the white-box MFCC
+backward pass give ``==`` results at one BLAS thread and at two.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _blas
 from repro.asr.decoder import (
     WordDecoder,
     smoothed_frame_labels,
@@ -60,6 +64,11 @@ def _extractors():
         LpcFeatureExtractor(frame_length=240, hop_length=120, order=10,
                             n_bands=16, style="envelope"),
     ]
+
+
+def _extractor_id(extractor) -> str:
+    family, variant = extractor.cache_tag.split(":")[:2]
+    return family + ":" + variant
 
 
 def _clip(rng: np.random.Generator, length: int) -> np.ndarray:
@@ -110,9 +119,7 @@ def test_smoothed_frame_labels_match_reference(seed, n_frames, window):
 
 
 # ---------------------------------------------------------- front-end batches
-@pytest.mark.parametrize("extractor", _extractors(),
-                         ids=lambda e: e.cache_tag.split(":", 1)[0]
-                         + ":" + e.cache_tag.split(":")[1])
+@pytest.mark.parametrize("extractor", _extractors(), ids=_extractor_id)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        lengths=st.lists(st.sampled_from([0, 1, 37, 240, 256, 400, 1000, 2048]),
                         min_size=0, max_size=4))
@@ -128,9 +135,7 @@ def test_transform_batch_matches_per_clip(extractor, seed, lengths):
         assert np.array_equal(fast_clip, reference_clip)
 
 
-@pytest.mark.parametrize("extractor", _extractors(),
-                         ids=lambda e: e.cache_tag.split(":", 1)[0]
-                         + ":" + e.cache_tag.split(":")[1])
+@pytest.mark.parametrize("extractor", _extractors(), ids=_extractor_id)
 def test_front_ends_are_float64_and_dtype_stable(extractor):
     """float32 / int16 inputs yield the same float64 features as float64."""
     rng = np.random.default_rng(11)
@@ -250,3 +255,66 @@ def test_word_decoder_rejects_unknown_search():
     with pytest.raises(ValueError):
         WordDecoder(get_shared_lexicon(), get_shared_language_model(),
                     search="turbo")
+
+
+# ---------------------------------------------------------------- BLAS threads
+_FIVE_SECONDS = 5 * 16_000
+
+
+def _at_blas_threads(n_threads: int, compute):
+    """``compute()`` with every loaded OpenBLAS at ``n_threads`` threads
+    (restored to the package's one thread afterwards)."""
+    _blas.set_num_threads(n_threads)
+    try:
+        return compute()
+    finally:
+        _blas.set_num_threads(1)
+
+
+@pytest.fixture
+def openblas():
+    if not _blas.num_threads():
+        pytest.skip("no OpenBLAS loaded in this process")
+
+
+def test_import_runs_every_loaded_openblas_on_one_thread(openblas):
+    counts = _blas.num_threads()
+    assert counts == [1] * len(counts)
+
+
+@pytest.mark.parametrize("extractor", _extractors(), ids=_extractor_id)
+def test_front_ends_do_not_depend_on_blas_threads(openblas, extractor):
+    rng = np.random.default_rng(5)
+    batch = [_clip(rng, _FIVE_SECONDS), _clip(rng, _FIVE_SECONDS // 2)]
+
+    def compute():
+        return ([extractor.transform(samples) for samples in batch]
+                + extractor.transform_batch(batch))
+
+    for two, one in zip(_at_blas_threads(2, compute),
+                        _at_blas_threads(1, compute)):
+        assert np.array_equal(two, one)
+
+
+def test_log_posteriors_do_not_depend_on_blas_threads(openblas, ds0):
+    rng = np.random.default_rng(6)
+    features = ds0.feature_extractor.transform(_clip(rng, _FIVE_SECONDS))
+    model = ds0.acoustic_model
+    assert np.array_equal(
+        _at_blas_threads(2, lambda: model.log_posteriors(features)),
+        _at_blas_threads(1, lambda: model.log_posteriors(features)))
+
+
+def test_mfcc_backward_does_not_depend_on_blas_threads(openblas, ds0):
+    rng = np.random.default_rng(7)
+    mfcc = ds0.feature_extractor.mfcc_extractor
+    frames = mfcc.frames(_clip(rng, _FIVE_SECONDS))
+
+    def compute():
+        tape = mfcc.forward_with_tape(frames)
+        grad = np.random.default_rng(8).standard_normal(tape.mfcc.shape)
+        return tape.mfcc, tape.backward(grad)
+
+    for two, one in zip(_at_blas_threads(2, compute),
+                        _at_blas_threads(1, compute)):
+        assert np.array_equal(two, one)

@@ -9,12 +9,16 @@ workers, retried bystanders, no hung futures, no raw exceptions.
 
 from __future__ import annotations
 
+import logging
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core.detector import MVPEarsDetector
 from repro.pipeline.detection import DetectionPipeline
 from repro.serving.arena import list_arena_segments
+from repro.serving import service as service_module
 from repro.serving.service import DetectionService
 
 from serving_fakes import FaultyASR, FaultyPipeline, make_clip
@@ -255,3 +259,44 @@ def test_every_fault_mode_resolves_no_future_hangs():
     statuses = {r.status for r in results}
     assert statuses <= {"ok", "error", "timeout", "rejected"}
     assert all(r.code in (200, 429, 500, 504) for r in results)
+
+
+# ------------------------------------------------------ shared-cache refresh
+
+
+def _broken_refresh(pipelines):
+    raise OSError("injected torn journal")
+
+
+@pytest.mark.timeout(60)
+def test_failed_cache_refresh_is_counted_and_the_batch_still_served(
+        monkeypatch, tmp_path):
+    # Patched before the fork, so the workers inherit the broken
+    # refresh; the fake pipelines have no caches to rewire.
+    monkeypatch.setattr(service_module, "_refresh_shared_caches",
+                        _broken_refresh)
+    monkeypatch.setattr(service_module, "attach_shared_caches",
+                        lambda pipelines, cache_dir: None)
+    with _service(cache_dir=str(tmp_path)) as service:
+        results = [service.submit("t", make_clip()).result(timeout=30)
+                   for _ in range(3)]
+    assert all(r.ok for r in results), [r.detail for r in results]
+    assert service.stats.cache_refresh_failures == 3
+    assert service.stats.errors == 0
+
+
+def test_failed_cache_refresh_logs_a_warning_and_flags_results(
+        monkeypatch, caplog):
+    monkeypatch.setattr(service_module, "_refresh_shared_caches",
+                        _broken_refresh)
+
+    sent = []
+    with caplog.at_level(logging.WARNING, logger=service_module.__name__):
+        service_module._run_batch(0, {"t": FaultyPipeline()},
+                                  [(1, "t", make_clip())],
+                                  SimpleNamespace(send=sent.append),
+                                  shared_caches=True)
+    assert "OSError: injected torn journal" in caplog.text
+    [(worker_id, key, payload)] = sent
+    assert (worker_id, key) == (0, 1)
+    assert payload["ok"] and payload["cache_refresh_failed"]
