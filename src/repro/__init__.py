@@ -46,7 +46,8 @@ from repro.dsp.engine import (
     register_feature_backend,
     resolve_feature_cache,
 )
-from repro.dsp.feature_cache import FeatureCache, FeatureCacheStats
+from repro.caching import CacheStats
+from repro.dsp.feature_cache import FeatureCache
 from repro.pipeline.bench import run_pipeline_benchmark
 from repro.pipeline.cache import TranscriptionCache
 from repro.pipeline.detection import BatchDetectionResult, DetectionPipeline
@@ -120,7 +121,7 @@ __all__ = [
     "parse_transforms",
     "FeatureEngine",
     "FeatureCache",
-    "FeatureCacheStats",
+    "CacheStats",
     "feature_backend_names",
     "get_feature_backend",
     "get_shared_feature_cache",

@@ -35,11 +35,7 @@ from repro.dsp.features import (
     LogMelFeatureExtractor,
     LpcFeatureExtractor,
 )
-from repro.dsp.feature_cache import (
-    FeatureCache,
-    FeatureCacheStats,
-    samples_fingerprint,
-)
+from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.engine import (
     FeatureEngine,
     feature_backend_names,
@@ -73,8 +69,6 @@ __all__ = [
     "LogMelFeatureExtractor",
     "LpcFeatureExtractor",
     "FeatureCache",
-    "FeatureCacheStats",
-    "samples_fingerprint",
     "FeatureEngine",
     "feature_backend_names",
     "get_feature_backend",

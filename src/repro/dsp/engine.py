@@ -27,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.dsp.feature_cache import FeatureCache, FeatureCacheStats
+from repro.caching import CacheStats
+from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.features import FeatureExtractor
 
 
@@ -144,10 +145,10 @@ class FeatureEngine:
         self.cache = resolve_feature_cache(cache)
 
     @property
-    def stats(self) -> FeatureCacheStats:
+    def stats(self) -> CacheStats:
         """Hit/miss statistics of the underlying cache (zeros when off)."""
         if self.cache is None:
-            return FeatureCacheStats()
+            return CacheStats()
         return self.cache.stats
 
     def features(self, extractor: FeatureExtractor, samples: np.ndarray,

@@ -16,88 +16,43 @@ The cache key is the extractor's configuration tag
 (:attr:`~repro.dsp.features.FeatureExtractor.cache_tag`) plus a content
 hash of the raw samples and the sample rate, so two clips with identical
 audio share one entry regardless of where the audio came from.  Storage
-is a thread-safe in-memory LRU, optionally backed on disk, mirroring
-the other two caches' API and statistics.  Cached matrices are stored
+is a :class:`~repro.caching.ContentCache`, optionally on disk
+(:func:`~repro.caching.array_store`).  Cached matrices are stored
 read-only so a consumer cannot corrupt entries that later lookups will
 share.
-
-Two disk formats, chosen by the path:
-
-* an ``.npz`` path — a snapshot file, written atomically (temp file +
-  ``os.replace``) by an explicit :meth:`save`;
-* any other path — a content-addressed *directory* of one atomically
-  written ``.npz`` file per entry
-  (:class:`repro.store.ContentDirectoryStore`), safe for any number of
-  concurrent processes: misses fall through to the directory, puts
-  write through to it.  This is the store the multi-worker serving
-  layer points its workers at.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-
 import numpy as np
 
-
-def samples_fingerprint(samples: np.ndarray, sample_rate: int) -> str:
-    """Content hash identifying one clip's audio (samples + rate)."""
-    digest = hashlib.sha1()
-    digest.update(np.ascontiguousarray(samples).tobytes())
-    digest.update(str(int(sample_rate)).encode("ascii"))
-    return digest.hexdigest()
+from repro.caching import ContentCache, array_store, audio_fingerprint
 
 
-@dataclass
-class FeatureCacheStats:
-    """Hit/miss/eviction counters of one :class:`FeatureCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when unused)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
+def _frozen(value: np.ndarray) -> np.ndarray:
+    value.flags.writeable = False
+    return value
 
 
-class FeatureCache:
-    """Thread-safe LRU cache of feature matrices keyed by config + content.
+class FeatureCache(ContentCache):
+    """LRU cache of feature matrices keyed by front-end config + content.
 
-    Args:
-        capacity: maximum number of entries kept in memory; the least
-            recently used entry is evicted first.
-        path: optional on-disk store — an ``.npz`` snapshot file
-            (loaded eagerly; call :meth:`save` to persist) or a
-            content-addressed directory shared across processes
-            (write-through puts, lazy per-key reads).
+    An ``.npz`` path is a snapshot file; any other path is a
+    content-addressed directory shared by concurrent processes (the
+    serving workers' store), read lazily on memory misses.
     """
 
-    def __init__(self, capacity: int = 2048, path: str | None = None):
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        self.capacity = capacity
-        self.path = path
-        self.stats = FeatureCacheStats()
-        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-        self._store = None
-        if path is not None and not _is_snapshot_path(path):
-            from repro.store import ContentDirectoryStore
-            self._store = ContentDirectoryStore(path)
-        elif path is not None and os.path.exists(path):
-            self.load(path)
+    default_capacity = 2048
+    _open_store = staticmethod(array_store)
+
+    @staticmethod
+    def _prepare(features) -> np.ndarray:
+        """A frozen copy: later mutation by the caller cannot reach it."""
+        return _frozen(np.array(features, dtype=np.float64, copy=True))
+
+    @staticmethod
+    def _decode(payload) -> np.ndarray:
+        return _frozen(np.asarray(payload, dtype=np.float64))
 
     @staticmethod
     def key_for(extractor_tag: str, samples: np.ndarray,
@@ -109,126 +64,4 @@ class FeatureCache:
         extractors with equal tags share entries by design — that is the
         cross-suite-member sharing win.
         """
-        return f"{extractor_tag}:{samples_fingerprint(samples, sample_rate)}"
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> np.ndarray | None:
-        """Look up ``key``, updating LRU order and hit/miss statistics.
-
-        In directory mode a memory miss falls through to the on-disk
-        store, so entries other processes wrote count as hits here.
-        """
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return value
-        if self._store is not None:
-            loaded = self._store.read(key)
-            if loaded is not None:
-                loaded.flags.writeable = False
-                with self._lock:
-                    self._entries[key] = loaded
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    while len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-                        self.stats.evictions += 1
-                return loaded
-        with self._lock:
-            self.stats.misses += 1
-        return None
-
-    def put(self, key: str, features: np.ndarray) -> None:
-        """Store ``features`` under ``key``, evicting the LRU entry if full.
-
-        The matrix is copied and frozen (non-writeable), so later
-        mutation by the caller cannot corrupt the shared entry.  In
-        directory mode the entry is also written through to the
-        content-addressed store (atomically, per entry).
-        """
-        value = np.array(features, dtype=np.float64, copy=True)
-        value.flags.writeable = False
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        if self._store is not None:
-            self._store.write(key, value)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the statistics."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = FeatureCacheStats()
-
-    # ------------------------------------------------------------ disk store
-    def save(self, path: str | None = None) -> str:
-        """Write the cache to ``path`` (default: the constructor path).
-
-        ``.npz`` snapshots are written atomically (temp file +
-        ``os.replace``); a directory path writes every in-memory entry
-        through the content-addressed store (each entry atomic).
-        """
-        import io
-
-        from repro.store import ContentDirectoryStore, atomic_write_bytes
-
-        path = path or self.path
-        if path is None:
-            raise ValueError("no path given and cache has no backing file")
-        with self._lock:
-            entries = list(self._entries.items())
-        if not _is_snapshot_path(path):
-            store = (self._store
-                     if self._store is not None and path == self.path
-                     else ContentDirectoryStore(path))
-            for key, value in entries:
-                store.write(key, value)
-            return path
-        buffer = io.BytesIO()
-        keys = [key for key, _ in entries]
-        arrays = {f"arr_{i}": value for i, (_, value) in enumerate(entries)}
-        np.savez(buffer, __keys__=np.array(keys, dtype=str), **arrays)
-        atomic_write_bytes(path, buffer.getvalue())
-        return path
-
-    def load(self, path: str | None = None) -> int:
-        """Merge entries from ``path`` into the cache; returns the count."""
-        path = path or self.path
-        if path is None:
-            raise ValueError("no path given and cache has no backing file")
-        if not _is_snapshot_path(path):
-            from repro.store import ContentDirectoryStore
-            store = (self._store
-                     if self._store is not None and path == self.path
-                     else ContentDirectoryStore(path))
-            entries = store.items()
-        else:
-            with np.load(path, allow_pickle=False) as payload:
-                keys = [str(key) for key in payload["__keys__"]]
-                entries = [(key, payload[f"arr_{i}"])
-                           for i, key in enumerate(keys)]
-        with self._lock:
-            for key, value in entries:
-                value = np.asarray(value, dtype=np.float64)
-                value.flags.writeable = False
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return len(entries)
-
-
-def _is_snapshot_path(path: str) -> bool:
-    """Whether a cache path is an ``.npz`` snapshot (vs a directory store)."""
-    return os.fspath(path).endswith(".npz")
+        return f"{extractor_tag}:{audio_fingerprint(samples, sample_rate)}"

@@ -23,12 +23,15 @@ one (Python floats round-trip ``repr``-exactly through JSON).
 from __future__ import annotations
 
 import json
+import logging
 import os
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -287,7 +290,8 @@ def _intern_shared_samples(experiment) -> None:
     inherits one content-interned resident copy of each clip through
     shared pages instead of duplicating the memoised bundle
     copy-on-write.  Strictly best effort: no arena, a full arena, or an
-    experiment without a bundle all leave the inputs untouched.
+    experiment without a bundle all leave the inputs untouched; a bundle
+    that fails to build is logged as a warning and skipped.
     """
     from repro.pipeline.engine import get_shared_sample_arena
 
@@ -296,10 +300,13 @@ def _intern_shared_samples(experiment) -> None:
         return
     from dataclasses import replace
 
-    from repro.pipeline.cache import waveform_fingerprint
+    from repro.caching import audio_fingerprint
     try:
         bundle = experiment.bundle()
-    except Exception:
+    except Exception as exc:
+        logger.warning("sample arena: bundle of %r failed (%s: %s); running"
+                       " without interned samples", experiment.name,
+                       type(exc).__name__, exc)
         return
     for collection in (bundle.benign, bundle.whitebox,
                        bundle.blackbox, bundle.nontargeted):
@@ -307,7 +314,9 @@ def _intern_shared_samples(experiment) -> None:
             audio = sample.waveform
             if arena.owns(audio.samples):
                 continue
-            view = arena.intern(waveform_fingerprint(audio), audio.samples)
+            view = arena.intern(audio_fingerprint(audio.samples,
+                                                  audio.sample_rate),
+                                audio.samples)
             if view is not None:
                 collection[index] = replace(
                     sample, waveform=replace(audio, samples=view))

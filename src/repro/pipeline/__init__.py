@@ -16,7 +16,8 @@ into working code.
   per-stage timing compatible with the paper's overhead experiment.
 """
 
-from repro.pipeline.cache import CacheStats, TranscriptionCache, waveform_fingerprint
+from repro.caching import CacheStats, audio_fingerprint
+from repro.pipeline.cache import TranscriptionCache
 from repro.pipeline.engine import (
     SuiteTranscription,
     TranscriptionEngine,
@@ -28,7 +29,7 @@ from repro.pipeline.detection import BatchDetectionResult, DetectionPipeline
 __all__ = [
     "CacheStats",
     "TranscriptionCache",
-    "waveform_fingerprint",
+    "audio_fingerprint",
     "SuiteTranscription",
     "TranscriptionEngine",
     "get_shared_cache",

@@ -34,7 +34,8 @@ from functools import lru_cache
 
 from repro.asr.base import ASRSystem, Transcription
 from repro.audio.waveform import Waveform
-from repro.pipeline.cache import CacheStats, TranscriptionCache
+from repro.caching import CacheStats, audio_fingerprint
+from repro.pipeline.cache import TranscriptionCache
 
 #: Environment variable overriding the default worker-pool size.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -243,8 +244,7 @@ class TranscriptionEngine:
         from dataclasses import replace
 
         if self.feature_engine is None:
-            from repro.dsp.feature_cache import FeatureCacheStats
-            return FeatureCacheStats()
+            return CacheStats()
         return replace(self.feature_engine.stats)
 
     def _executor(self) -> ThreadPoolExecutor:
@@ -310,13 +310,14 @@ class TranscriptionEngine:
         arena = self.sample_arena
         if arena is None:
             return audios
-        from repro.pipeline.cache import waveform_fingerprint
         adopted = []
         for audio in audios:
             if arena.owns(audio.samples):
                 adopted.append(audio)
                 continue
-            view = arena.intern(waveform_fingerprint(audio), audio.samples)
+            view = arena.intern(audio_fingerprint(audio.samples,
+                                                  audio.sample_rate),
+                                audio.samples)
             adopted.append(audio if view is None
                            else replace(audio, samples=view))
         return adopted

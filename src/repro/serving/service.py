@@ -196,9 +196,7 @@ def _refresh_shared_caches(pipelines: Mapping[str, Any]) -> None:
         for cache in (detector.engine.cache, detector.scoring.cache):
             if cache is not None and id(cache) not in seen:
                 seen.add(id(cache))
-                refresh = getattr(cache, "refresh", None)
-                if refresh is not None:
-                    refresh()
+                cache.refresh()
 
 
 def _detect_one(pipeline, audio: Waveform) -> dict:

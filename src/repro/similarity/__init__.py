@@ -26,7 +26,7 @@ from repro.similarity.scorer import (
     SimilarityScorer,
     get_scorer,
 )
-from repro.similarity.score_cache import PairScoreCache, ScoreCacheStats
+from repro.similarity.score_cache import PairScoreCache
 from repro.similarity.engine import (
     DEFAULT_SCORING_BACKEND,
     FastScoringBackend,
@@ -55,7 +55,6 @@ __all__ = [
     "SimilarityScorer",
     "get_scorer",
     "PairScoreCache",
-    "ScoreCacheStats",
     "DEFAULT_SCORING_BACKEND",
     "FastScoringBackend",
     "ReferenceScoringBackend",

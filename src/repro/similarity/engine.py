@@ -35,6 +35,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.caching import CacheStats
 from repro.errors import UnknownComponentError
 from repro.similarity.kernels import (
     cosine_from_counts,
@@ -44,11 +45,7 @@ from repro.similarity.kernels import (
     token_counts,
 )
 from repro.similarity.phonetic import phonetic_encode
-from repro.similarity.score_cache import (
-    PairScoreCache,
-    ScoreCacheStats,
-    text_fingerprint,
-)
+from repro.similarity.score_cache import PairScoreCache, text_fingerprint
 from repro.similarity.scorer import SimilarityScorer, get_scorer
 from repro.text.normalize import normalize_text, tokenize
 
@@ -328,9 +325,9 @@ class SimilarityEngine:
 
     # -------------------------------------------------------------- plumbing
     @property
-    def stats(self) -> ScoreCacheStats:
+    def stats(self) -> CacheStats:
         """Hit/miss statistics of the engine's cache (zeros if disabled)."""
-        return self.cache.stats if self.cache is not None else ScoreCacheStats()
+        return self.cache.stats if self.cache is not None else CacheStats()
 
     def save_cache(self, path: str | None = None) -> str:
         """Persist the cache to disk (see :meth:`PairScoreCache.save`)."""

@@ -13,22 +13,15 @@ The cache key is the scorer's configuration tag (name, metric, phonetic
 flag — see :attr:`~repro.similarity.scorer.SimilarityScorer.cache_tag`)
 plus a content hash of each text, so two calls scoring identical strings
 share one entry regardless of where the strings came from.  Storage is a
-thread-safe in-memory LRU, optionally backed by a disk store, mirroring
-:class:`~repro.pipeline.cache.TranscriptionCache`'s API and statistics —
-including the two disk formats: a ``.json`` snapshot written atomically
-on :meth:`save`, or a ``.jsonl`` append-only journal (write-through
-puts, :meth:`refresh` merges other processes' entries) shared across
-the serving layer's worker processes.
+:class:`~repro.caching.ContentCache` with the transcription cache's
+stores (:func:`~repro.caching.json_store`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+
+from repro.caching import ContentCache
 
 
 def text_fingerprint(text: str) -> str:
@@ -36,53 +29,15 @@ def text_fingerprint(text: str) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class ScoreCacheStats:
-    """Hit/miss/eviction counters of one :class:`PairScoreCache`."""
+class PairScoreCache(ContentCache):
+    """LRU cache of pair scores (``float``) keyed by scorer + text content.
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when unused)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-
-class PairScoreCache:
-    """Thread-safe LRU cache of pair scores keyed by scorer + text content.
-
-    Args:
-        capacity: maximum number of entries kept in memory; the least
-            recently used entry is evicted first.
-        path: optional on-disk store — a ``.json`` snapshot file
-            (written by an explicit :meth:`save`) or a ``.jsonl``
-            append-only journal shared across processes (write-through
-            puts).  Existing entries are loaded eagerly.
+    A ``.jsonl`` path is an append-only journal shared by concurrent
+    processes; any other path is a JSON snapshot.
     """
 
-    def __init__(self, capacity: int = 65536, path: str | None = None):
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        self.capacity = capacity
-        self.path = path
-        self.stats = ScoreCacheStats()
-        self._entries: OrderedDict[str, float] = OrderedDict()
-        self._lock = threading.Lock()
-        self._journal = None
-        if path is not None and _is_journal_path(path):
-            from repro.store import Journal
-            self._journal = Journal(path)
-            self.refresh()
-        elif path is not None and os.path.exists(path):
-            self.load(path)
+    default_capacity = 65536
+    _prepare = _decode = staticmethod(float)
 
     @staticmethod
     def key_for(scorer_tag: str, text_a: str, text_b: str) -> str:
@@ -96,119 +51,3 @@ class PairScoreCache:
         """
         return (f"{scorer_tag}:{text_fingerprint(text_a)}"
                 f":{text_fingerprint(text_b)}")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> float | None:
-        """Look up ``key``, updating LRU order and hit/miss statistics."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return value
-
-    def put(self, key: str, score: float) -> None:
-        """Store ``score`` under ``key``, evicting the LRU entry if full.
-
-        In journal mode the entry is also appended to the on-disk
-        journal immediately (write-through).
-        """
-        with self._lock:
-            self._entries[key] = float(score)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        if self._journal is not None:
-            self._journal.append({"k": key, "v": float(score)})
-
-    def refresh(self) -> int:
-        """Merge journal entries other processes appended; returns count.
-
-        Only meaningful in journal mode (``.jsonl`` path); a no-op that
-        returns 0 otherwise.  Merged entries do not touch the hit/miss
-        statistics.
-        """
-        if self._journal is None:
-            return 0
-        records = self._journal.replay()
-        merged = 0
-        with self._lock:
-            for record in records:
-                try:
-                    value = float(record["v"])
-                except (KeyError, TypeError, ValueError):
-                    continue
-                self._entries[record["k"]] = value
-                self._entries.move_to_end(record["k"])
-                merged += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return merged
-
-    def clear(self) -> None:
-        """Drop every entry and reset the statistics."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = ScoreCacheStats()
-
-    # ------------------------------------------------------------ disk store
-    def save(self, path: str | None = None) -> str:
-        """Write the cache to ``path`` (default: the constructor path).
-
-        Snapshot paths are written atomically (temp file +
-        ``os.replace``); saving to the cache's own journal path
-        compacts the journal (single-writer, see
-        :meth:`repro.store.Journal.rewrite`).
-        """
-        from repro.store import Journal, atomic_write_text
-
-        path = path or self.path
-        if path is None:
-            raise ValueError("no path given and cache has no backing file")
-        with self._lock:
-            payload = dict(self._entries)
-        if _is_journal_path(path):
-            journal = (self._journal
-                       if self._journal is not None and path == self.path
-                       else Journal(path))
-            journal.rewrite({"k": key, "v": value}
-                            for key, value in payload.items())
-        else:
-            atomic_write_text(path, json.dumps(payload))
-        return path
-
-    def load(self, path: str | None = None) -> int:
-        """Merge entries from ``path`` into the cache; returns the count."""
-        path = path or self.path
-        if path is None:
-            raise ValueError("no path given and cache has no backing file")
-        if _is_journal_path(path):
-            from repro.store import Journal
-            payload = {record["k"]: record["v"]
-                       for record in Journal(path).replay()
-                       if "k" in record and "v" in record}
-        else:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        with self._lock:
-            for key, value in payload.items():
-                self._entries[key] = float(value)
-                self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return len(payload)
-
-
-def _is_journal_path(path: str) -> bool:
-    """Whether a cache path selects the append-only journal format."""
-    return os.fspath(path).endswith(".jsonl")

@@ -29,7 +29,7 @@ from repro.experiments import (
     experiment_names,
     run_sweep,
 )
-from repro.experiments.runner import canonical_rows
+from repro.experiments.runner import Experiment, WorkUnit, canonical_rows
 from repro.errors import UnknownComponentError
 from repro.specs import ExperimentSpec, InvalidSpecError, SweepSpec
 
@@ -396,6 +396,50 @@ def test_interrupted_sweep_resumes_bit_identical(tmp_path, tiny_dataset):
     assert second.resumed_units == 2
     assert second.executed_units == baseline.executed_units - 2
     assert second.report == baseline.report
+
+
+class _BundlelessExperiment(Experiment):
+    """Two trivial shards; building the audio bundle always fails."""
+
+    name = "bundleless"
+
+    def prepare(self) -> None:
+        pass
+
+    def bundle(self):
+        raise RuntimeError("no bundle at this scale")
+
+    def shards(self, spec) -> list[WorkUnit]:
+        return [WorkUnit(key=f"u{i}", params={"i": i}) for i in range(2)]
+
+    def run_shard(self, unit: WorkUnit) -> list[dict]:
+        return [{"i": unit.params["i"]}]
+
+
+@pytest.mark.timeout(60)
+def test_failed_bundle_is_logged_and_the_run_completes(monkeypatch, caplog):
+    from repro.pipeline import engine as engine_mod
+
+    monkeypatch.setenv(engine_mod.SAMPLE_ARENA_ENV, "1")
+    engine_mod.get_shared_sample_arena.cache_clear()
+    spec = ExperimentSpec(experiment="nontargeted", scale="tiny").validate()
+    try:
+        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
+            result = execute_experiment(_BundlelessExperiment(spec),
+                                        workers=2)
+    finally:
+        arena = engine_mod.get_shared_sample_arena()
+        engine_mod.get_shared_sample_arena.cache_clear()
+        if arena is not None:
+            arena.destroy()
+    assert arena is not None, "the test needs POSIX shared memory"
+    assert result.complete
+    assert result.table.rows == [{"i": 0}, {"i": 1}]
+    warnings = [record for record in caplog.records
+                if record.name == "repro.experiments.runner"]
+    assert len(warnings) == 1
+    assert "RuntimeError" in warnings[0].getMessage()
+    assert "no bundle at this scale" in warnings[0].getMessage()
 
 
 # --------------------------------------------------------------------- CLI

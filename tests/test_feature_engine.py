@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.asr.base import Transcription
 from repro.audio.waveform import Waveform
 from repro.cli import main
 from repro.core.detector import MVPEarsDetector
@@ -24,11 +25,14 @@ from repro.dsp.engine import (
     get_shared_feature_cache,
     resolve_feature_cache,
 )
-from repro.dsp.feature_cache import FeatureCache, samples_fingerprint
+from repro.caching import audio_fingerprint
+from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.features import LogMelFeatureExtractor, MfccFeatureExtractor
+from repro.pipeline.cache import TranscriptionCache
 from repro.pipeline.detection import DetectionPipeline
 from repro.serving.chunker import StreamConfig
 from repro.serving.streaming import StreamingDetector
+from repro.similarity.score_cache import PairScoreCache
 from repro.specs import DetectorSpec, FeaturesSpec, InvalidSpecError
 
 SR = 16_000
@@ -42,18 +46,29 @@ def _clip(seed: int, length: int = 1200) -> np.ndarray:
 def test_cache_key_includes_tag_and_content():
     samples = _clip(0)
     key = FeatureCache.key_for("mfcc:test", samples, SR)
-    assert key == f"mfcc:test:{samples_fingerprint(samples, SR)}"
+    assert key == f"mfcc:test:{audio_fingerprint(samples, SR)}"
     assert key != FeatureCache.key_for("lpc:test", samples, SR)
     assert key != FeatureCache.key_for("mfcc:test", samples, 8_000)
 
 
-def test_cache_hit_miss_and_lru_eviction():
-    cache = FeatureCache(capacity=2)
+# One value per cache kind: the LRU and its accounting are shared code.
+_CACHE_VALUES = {
+    FeatureCache: lambda i: np.full((2, 2), float(i)),
+    PairScoreCache: lambda i: i / 4.0,
+    TranscriptionCache: lambda i: Transcription(text=f"text {i}"),
+}
+
+
+@pytest.mark.parametrize("cache_type", list(_CACHE_VALUES),
+                         ids=lambda cache_type: cache_type.__name__)
+def test_cache_hit_miss_and_lru_eviction(cache_type):
+    value = _CACHE_VALUES[cache_type]
+    cache = cache_type(capacity=2)
     assert cache.get("a") is None                      # miss
-    cache.put("a", np.ones((2, 2)))
-    cache.put("b", np.zeros((2, 2)))
+    cache.put("a", value(1))
+    cache.put("b", value(0))
     assert cache.get("a") is not None                  # "a" now most recent
-    cache.put("c", np.ones((1, 1)))                    # evicts LRU "b"
+    cache.put("c", value(2))                           # evicts LRU "b"
     assert "b" not in cache
     assert "a" in cache and "c" in cache
     assert cache.stats.hits == 1

@@ -7,7 +7,8 @@ from repro.asr.base import ASRSystem, Transcription
 from repro.audio.waveform import Waveform
 from repro.core.detector import MVPEarsDetector
 from repro.core.features import score_vectors
-from repro.pipeline.cache import TranscriptionCache, waveform_fingerprint
+from repro.caching import audio_fingerprint
+from repro.pipeline.cache import TranscriptionCache
 from repro.pipeline.detection import DetectionPipeline
 from repro.pipeline.engine import TranscriptionEngine, resolve_worker_count
 
@@ -108,8 +109,11 @@ def test_batch_matches_per_clip(ds0, asr_suite, clips):
 
 def test_fingerprint_depends_on_content_only(clips):
     same = clips[0].with_label("adversarial")
-    assert waveform_fingerprint(clips[0]) == waveform_fingerprint(same)
-    assert waveform_fingerprint(clips[0]) != waveform_fingerprint(clips[1])
+    first, other = clips[0], clips[1]
+    assert (audio_fingerprint(first.samples, first.sample_rate)
+            == audio_fingerprint(same.samples, same.sample_rate))
+    assert (audio_fingerprint(first.samples, first.sample_rate)
+            != audio_fingerprint(other.samples, other.sample_rate))
 
 
 def test_engine_cache_hit_on_repeat(ds0, asr_suite, clips):
