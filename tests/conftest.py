@@ -1,12 +1,20 @@
 """Shared fixtures for the test suite.
 
 Expensive objects (ASR simulators, the tiny scored dataset) are session
-scoped; the scored dataset is additionally cached on disk under
-``.repro_cache`` so repeated test runs do not regenerate adversarial
-examples.
+scoped.  The session is hermetic: it runs at the ``tiny`` scale against
+a fresh cache directory that holds only the tracked
+``.repro_cache/scored_tiny_200_*.json``, so neither a ``REPRO_*``
+variable in the caller's shell nor warm state in the working copy's
+cache can change what the tests see.  Tests that check scale or
+environment resolution set their own values with ``monkeypatch``.
 """
 
 from __future__ import annotations
+
+import glob
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,6 +22,25 @@ import pytest
 from repro.asr.registry import build_asr, get_shared_lexicon
 from repro.audio.synthesis import SpeechSynthesizer
 from repro.config import TINY
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACKED_SCORED = os.path.join(ROOT, ".repro_cache", "scored_tiny_200_*.json")
+
+_session_cache: str | None = None
+
+
+def _pin_hermetic_env() -> str:
+    """Drop every ``REPRO_*`` variable, pin ``REPRO_SCALE=tiny`` and
+    point ``REPRO_CACHE_DIR`` at a fresh directory seeded with the
+    tracked scored dataset; returns that directory."""
+    for name in [name for name in os.environ if name.startswith("REPRO_")]:
+        del os.environ[name]
+    cache = tempfile.mkdtemp(prefix="repro-tests-cache-")
+    for path in glob.glob(TRACKED_SCORED):
+        shutil.copy2(path, cache)
+    os.environ["REPRO_SCALE"] = "tiny"
+    os.environ["REPRO_CACHE_DIR"] = cache
+    return cache
 
 
 @pytest.fixture(scope="session")
@@ -96,9 +123,16 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    global _session_cache
+    _session_cache = _pin_hermetic_env()
     config.addinivalue_line(
         "markers", "timeout(seconds): per-test deadline (enforced by "
                    "pytest-timeout, or by the conftest SIGALRM fallback)")
+
+
+def pytest_unconfigure(config):
+    if _session_cache is not None:
+        shutil.rmtree(_session_cache, ignore_errors=True)
 
 
 def _deadline_seconds(item) -> float | None:
