@@ -3,7 +3,8 @@
 Re-exports the stable public surface (documented in ``docs/API.md``):
 the declarative spec tree and the ``repro.build(spec)`` entry points
 (see ``docs/CONFIG.md``), the detector and its batched pipeline, the
-serving layer (streaming detection, micro-batching, metrics), the
+serving layer (streaming detection, the multi-process detection
+service, metrics), the
 similarity scoring engine (pluggable backends + pair-score cache, see
 ``docs/SCORING.md``), the front-end feature engine (pluggable DSP
 backends + content-hash feature cache, see ``docs/FEATURES.md``), the
@@ -28,8 +29,7 @@ from repro.asr.registry import (
     register_asr,
     unregister_asr,
 )
-from repro.build import (build, build_batcher, build_pipeline,
-                         build_service, build_streaming)
+from repro.build import build, build_pipeline, build_service, build_streaming
 from repro.attacks.blackbox import BlackBoxGeneticAttack
 from repro.attacks.whitebox import WhiteBoxCarliniAttack
 from repro.audio.waveform import Waveform
@@ -48,7 +48,6 @@ from repro.dsp.engine import (
 )
 from repro.caching import CacheStats
 from repro.dsp.feature_cache import FeatureCache
-from repro.pipeline.bench import run_pipeline_benchmark
 from repro.pipeline.cache import TranscriptionCache
 from repro.pipeline.detection import BatchDetectionResult, DetectionPipeline
 from repro.pipeline.engine import TranscriptionEngine
@@ -57,7 +56,6 @@ from repro.serving.aggregator import (
     StreamDetectionResult,
     WindowVerdict,
 )
-from repro.serving.batcher import MicroBatcher
 from repro.serving.chunker import StreamConfig, StreamWindow, chunk_waveform
 from repro.serving.metrics import ServingMetrics
 from repro.serving.service import (DetectionService, ServeResult,
@@ -91,7 +89,6 @@ __all__ = [
     "register_asr",
     "unregister_asr",
     "build",
-    "build_batcher",
     "build_pipeline",
     "build_service",
     "build_streaming",
@@ -127,7 +124,6 @@ __all__ = [
     "get_shared_feature_cache",
     "register_feature_backend",
     "resolve_feature_cache",
-    "run_pipeline_benchmark",
     "TranscriptionCache",
     "BatchDetectionResult",
     "DetectionPipeline",
@@ -135,7 +131,6 @@ __all__ = [
     "FlaggedSpan",
     "StreamDetectionResult",
     "WindowVerdict",
-    "MicroBatcher",
     "StreamConfig",
     "StreamWindow",
     "chunk_waveform",

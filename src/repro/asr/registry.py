@@ -211,7 +211,8 @@ def build_fresh_asr(short_name: str) -> ASRSystem:
     Unlike :func:`build_asr`, the process-wide instance cache is neither
     consulted nor populated.  Used where shared mutable state (decoder
     segment caches, attached feature engines) must not leak between
-    configurations — e.g. the reference path of the pipeline benchmark.
+    configurations — e.g. the per-clip reference path the pipeline speed
+    gate (``benchmarks/test_pipeline_bench.py``) times.
     """
     factory = _FACTORIES.get(short_name) or _dynamic_factory(short_name)
     if factory is None:

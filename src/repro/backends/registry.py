@@ -14,7 +14,7 @@ gives every resolvable ASR name a stable version digest (backend model
 fingerprints, family member config digests, built-in name digests) and
 :func:`describe_suite` / :func:`suite_warnings` turn a
 :class:`~repro.specs.SuiteSpec` into the composition records embedded in
-experiment manifests and benchmark reports.
+experiment manifests.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def _suite_member_names(suite) -> list[str]:
 def describe_suite(suite) -> dict:
     """Composition + fingerprints of a :class:`~repro.specs.SuiteSpec`.
 
-    The record embedded in experiment-run manifests and the pipeline /
-    serve benchmark reports so perf and accuracy numbers are
-    attributable to the exact suite that produced them.
+    The record embedded in experiment-run manifests so accuracy and
+    overhead numbers are attributable to the exact suite that produced
+    them.
     """
     names = _suite_member_names(suite)
     return {

@@ -6,8 +6,9 @@ module turns that data into objects: a fitted
 :class:`~repro.pipeline.detection.DetectionPipeline`
 (:func:`build_pipeline`), a
 :class:`~repro.serving.streaming.StreamingDetector`
-(:func:`build_streaming`) or a micro-batching server
-(:func:`build_batcher`).  Every constructor accepts a
+(:func:`build_streaming`) or a multi-process
+:class:`~repro.serving.service.DetectionService`
+(:func:`build_service`).  Every constructor accepts a
 :class:`~repro.specs.DetectorSpec`, a plain dict, or a path to a JSON
 config file, and validates the spec before touching any heavy machinery
 — a typo fails with the field name and the allowed values, not a stack
@@ -303,16 +304,3 @@ def build_service(manifest: Mapping | str | None = None, *,
     service = DetectionService.from_manifest(manifest, fit=fit)
     return service.start() if start else service
 
-
-def build_batcher(spec: DetectorSpec | Mapping | str | None = None,
-                  pipeline=None, metrics=None):
-    """A :class:`MicroBatcher` configured from ``spec.serving``.
-
-    The batcher starts its scheduler thread on first submit; use it as a
-    context manager (or call ``close()``) like a directly-built one.
-    """
-    from repro.serving.batcher import MicroBatcher
-    spec = resolve_spec(spec)
-    if pipeline is None:
-        pipeline = build_pipeline(spec)
-    return MicroBatcher.from_spec(spec, pipeline, metrics=metrics)

@@ -1,14 +1,13 @@
-"""The ``repro`` command line: screen clips, screen streams, benchmark.
+"""The ``repro`` command line: screen clips and streams, serve, run experiments.
 
 Exposes the whole detection stack without writing Python::
 
     python -m repro screen clip.wav other.wav   # batch-screen WAV clips
     python -m repro stream recording.wav        # windowed streaming verdicts
     python -m repro serve tenants.json          # multi-process service demo
-    python -m repro bench                       # serving-layer benchmark
-    python -m repro bench-similarity            # scoring-backend benchmark
-    python -m repro bench-pipeline              # end-to-end pipeline benchmark
-    python -m repro bench-serve                 # concurrent-service benchmark
+    python -m repro run nontargeted             # one registered experiment
+    python -m repro sweep grid.json             # a parameter sweep
+    python -m repro backends                    # ASR backend availability
     python -m repro config show                 # effective detector spec
     python -m repro config validate cfg.json    # schema-check config files
 
@@ -27,24 +26,16 @@ docs/DEFENSES.md), ``--scorer`` / ``--scoring-backend`` /
 at a scale generates and disk-caches that dataset).  ``config show``
 prints the effective spec as JSON — a ready-to-save config file —
 and ``config validate`` schema-checks files, naming each bad field and
-its allowed values.  ``bench`` synthesises a workload and drives it
-through the sequential detector, the batched pipeline and the
-micro-batcher; ``bench-similarity`` times the reference vs fast scoring
-backends and writes ``BENCH_similarity.json``; ``bench-pipeline`` times
-per-clip reference recognition against the vectorized batched front end
-(cold and warm feature cache), requires bit-identical transcriptions,
-and writes ``BENCH_pipeline.json``.  ``--feature-backend`` /
-``--feature-cache`` shape the front-end feature engine (see
-docs/FEATURES.md).  ``serve`` starts the multi-process
-:class:`~repro.serving.service.DetectionService` from a tenant manifest
-(see docs/SERVING.md) and drives a synthetic request burst through its
-asyncio front door; ``bench-serve`` measures that service at 100+
-concurrent streams against the sequential path, requires bit-identical
-verdicts, and writes ``BENCH_serve.json``.
+its allowed values.  ``--feature-backend`` / ``--feature-cache`` shape
+the front-end feature engine (see docs/FEATURES.md).  ``serve`` starts
+the multi-process :class:`~repro.serving.service.DetectionService` from
+a tenant manifest (see docs/SERVING.md) and drives a synthetic request
+burst through its asyncio front door.  Performance is measured by the
+repo benchmark under ``perfbench/``, not by this command line.
 
-Exit status: ``screen`` and ``stream`` exit 1 when anything was flagged
-adversarial (so shell scripts can gate on the verdict), 0 otherwise;
-bad inputs (including invalid configs) exit 2.
+Exit status: ``screen``, ``stream`` and ``serve`` exit 1 when anything
+was flagged adversarial (so shell scripts can gate on the verdict), 0
+otherwise; bad inputs (including invalid configs) exit 2.
 """
 
 from __future__ import annotations
@@ -196,111 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--json", action="store_true",
                        help="emit one JSON object per request plus a "
                             "summary instead of text")
-
-    bench = commands.add_parser(
-        "bench", help="benchmark sequential vs batched vs micro-batched "
-                      "serving; 'bench all' writes the full BENCH_*.json "
-                      "perf trajectory")
-    bench.add_argument("what", nargs="?", default=None, choices=("all",),
-                       help="'all' runs bench-similarity, bench-pipeline and "
-                            "bench-serve at a fixed tiny scale and writes "
-                            "the three BENCH_*.json trajectory files")
-    bench.add_argument("--output-dir", default=".", metavar="DIR",
-                       help="where 'bench all' writes the BENCH_*.json "
-                            "files (default: current directory)")
-    bench.add_argument("--clips", type=int, default=12,
-                       help="number of synthesised clips (default: 12)")
-    bench.add_argument("--batch-size", type=int, default=8,
-                       help="micro-batcher max batch size (default: 8)")
-    bench.add_argument("--max-latency", type=float, default=0.02,
-                       help="micro-batcher max queue latency in seconds "
-                            "(default: 0.02)")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="workload sampling seed (default: 0)")
-    add_detector_options(bench)
-
-    bench_sim = commands.add_parser(
-        "bench-similarity",
-        help="benchmark reference vs fast similarity scoring backends")
-    bench_sim.add_argument("--pairs", type=int, default=300,
-                           help="distinct transcription pairs in the "
-                                "workload (default: 300)")
-    bench_sim.add_argument("--overlap", type=int, default=4,
-                           help="recurrences per pair in the streaming-"
-                                "window workload (default: 4)")
-    bench_sim.add_argument("--repeats", type=int, default=3,
-                           help="timing repetitions, best-of (default: 3)")
-    bench_sim.add_argument("--seed", type=int, default=0,
-                           help="workload sampling seed (default: 0)")
-    bench_sim.add_argument("--scorer", default=None, metavar="METHOD",
-                           help="similarity method to time "
-                                "(default: PE_JaroWinkler)")
-    bench_sim.add_argument("--output", default="BENCH_similarity.json",
-                           metavar="PATH",
-                           help="where to write the machine-readable report "
-                                "(default: BENCH_similarity.json)")
-    bench_sim.add_argument("--json", action="store_true",
-                           help="print the JSON report instead of the "
-                                "human-readable summary")
-
-    bench_pipe = commands.add_parser(
-        "bench-pipeline",
-        help="benchmark the reference vs vectorized recognition pipeline")
-    bench_pipe.add_argument("--clips", type=int, default=6,
-                            help="number of synthesised clips in the "
-                                 "workload (default: 6)")
-    bench_pipe.add_argument("--repeats", type=int, default=3,
-                            help="warm-pass timing repetitions, best-of "
-                                 "(default: 3)")
-    bench_pipe.add_argument("--seed", type=int, default=0,
-                            help="workload sampling seed (default: 0)")
-    bench_pipe.add_argument("--output", default="BENCH_pipeline.json",
-                            metavar="PATH",
-                            help="where to write the machine-readable report "
-                                 "(default: BENCH_pipeline.json)")
-    bench_pipe.add_argument("--json", action="store_true",
-                            help="print the JSON report instead of the "
-                                 "human-readable summary")
-
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="benchmark the multi-process service at high concurrency "
-             "against the sequential path")
-    bench_serve.add_argument("--streams", type=int, default=100,
-                             help="concurrent detection streams "
-                                  "(default: 100)")
-    bench_serve.add_argument("--clips", type=int, default=12,
-                             help="distinct synthesised utterances cycled "
-                                  "across the streams (default: 12)")
-    bench_serve.add_argument("--workers", type=int, default=2,
-                             help="worker process count (default: 2)")
-    bench_serve.add_argument("--seed", type=int, default=0,
-                             help="workload sampling seed (default: 0)")
-    bench_serve.add_argument("--timeout", type=float, default=120.0,
-                             help="per-request deadline in seconds "
-                                  "(default: 120)")
-    bench_serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                             help="shared on-disk cache directory for the "
-                                  "worker pool (default: none)")
-    bench_serve.add_argument("--transport", default="shm",
-                             choices=("shm", "pickle", "both"),
-                             help="audio data plane: shared-memory "
-                                  "descriptors, pickled arrays, or both "
-                                  "back to back with a speedup comparison "
-                                  "(default: shm)")
-    bench_serve.add_argument("--clip-seconds", type=float, default=None,
-                             metavar="SECONDS",
-                             help="zero-pad every clip to a fixed duration "
-                                  "so the per-request payload is known "
-                                  "(default: natural clip lengths; "
-                                  "--transport both defaults to 5)")
-    bench_serve.add_argument("--output", default="BENCH_serve.json",
-                             metavar="PATH",
-                             help="where to write the machine-readable "
-                                  "report (default: BENCH_serve.json)")
-    bench_serve.add_argument("--json", action="store_true",
-                             help="print the JSON report instead of the "
-                                  "human-readable summary")
 
     def add_experiment_options(sub: argparse.ArgumentParser) -> None:
         from repro.specs import SCALE_NAMES
@@ -641,200 +527,26 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return 1 if result.is_adversarial else 0
 
 
-# -------------------------------------------------------------------- bench
-def _bench_workload(n_clips: int, seed: int):
+# -------------------------------------------------------------------- serve
+def _serve_clips(n_clips: int, seed: int):
+    """``n_clips`` synthetic utterances sampled from the
+    LibriSpeech-like corpus: the request workload ``serve`` drives."""
     from repro.asr.registry import get_shared_lexicon
     from repro.audio.synthesis import SpeechSynthesizer
+    from repro.config import SAMPLE_RATE
     from repro.text.corpus import librispeech_like_corpus
 
     rng = np.random.default_rng(seed)
-    synthesizer = SpeechSynthesizer(lexicon=get_shared_lexicon(), seed=seed)
     sentences = librispeech_like_corpus().sample(n_clips, rng)
+    synthesizer = SpeechSynthesizer(sample_rate=SAMPLE_RATE,
+                                    lexicon=get_shared_lexicon(),
+                                    seed=seed + 7)
     return [synthesizer.synthesize(sentence) for sentence in sentences]
 
 
-def cmd_bench_all(args: argparse.Namespace) -> int:
-    """``repro bench all``: the unified perf trajectory.
-
-    Runs the three component benchmarks back to back at one fixed tiny
-    scale and writes ``BENCH_similarity.json`` / ``BENCH_pipeline.json``
-    / ``BENCH_serve.json`` under ``--output-dir``, so successive commits
-    leave a comparable performance trail.  Every benchmark's parity gate
-    still applies: a report is always written, but any divergence fails
-    the command after all three ran.
-    """
-    from repro.pipeline.bench import run_pipeline_benchmark
-    from repro.serving.bench import compare_transports
-    from repro.similarity.bench import run_similarity_benchmark
-
-    os.makedirs(args.output_dir, exist_ok=True)
-    failures: list[str] = []
-
-    sim_path = os.path.join(args.output_dir, "BENCH_similarity.json")
-    sim = run_similarity_benchmark(n_pairs=120, overlap=4, repeats=2, seed=0)
-    with open(sim_path, "w", encoding="utf-8") as handle:
-        json.dump(sim, handle, indent=2)
-    if sim["parity_max_abs_diff"] != 0.0:
-        failures.append(f"similarity backend parity violation "
-                        f"(report in {sim_path})")
-    print(f"bench-similarity: batch {sim['batch']['speedup']:.2f}x, "
-          f"stream {sim['stream']['speedup']:.2f}x vs reference "
-          f"-> {sim_path}")
-
-    pipe_path = os.path.join(args.output_dir, "BENCH_pipeline.json")
-    pipe = run_pipeline_benchmark(n_clips=4, repeats=2, seed=0)
-    with open(pipe_path, "w", encoding="utf-8") as handle:
-        json.dump(pipe, handle, indent=2)
-    if pipe["parity_mismatches"] != 0:
-        failures.append(f"pipeline parity violation "
-                        f"(report in {pipe_path})")
-    print(f"bench-pipeline: cold {pipe['cold']['speedup']:.2f}x, "
-          f"warm {pipe['warm']['speedup']:.2f}x vs reference "
-          f"-> {pipe_path}")
-
-    serve_path = os.path.join(args.output_dir, "BENCH_serve.json")
-    serve = compare_transports(n_streams=24, n_clips=6, workers=2, seed=0,
-                               clip_seconds=5.0)
-    with open(serve_path, "w", encoding="utf-8") as handle:
-        json.dump(serve, handle, indent=2)
-    for transport, section in serve["transports"].items():
-        if section["parity_mismatches"] != 0:
-            failures.append(f"serving parity violation under the "
-                            f"{transport} transport "
-                            f"(report in {serve_path})")
-    speedup = serve.get("speedup_shm_vs_pickle")
-    speedup_text = f"{speedup:.2f}x" if speedup is not None else "n/a"
-    print(f"bench-serve: {serve['n_streams']} streams, "
-          f"shm {speedup_text} pickle throughput -> {serve_path}")
-
-    if failures:
-        raise CliError("; ".join(failures))
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.pipeline.cache import TranscriptionCache
-    from repro.pipeline.detection import DetectionPipeline
-    from repro.serving.batcher import MicroBatcher
-    from repro.serving.metrics import ServingMetrics
-
-    if args.what == "all":
-        return cmd_bench_all(args)
-    detector = _build_detector(args)
-    clips = _bench_workload(args.clips, args.seed)
-    report: dict = {"clips": len(clips)}
-
-    # Sequential single-clip detection, cold private cache: the baseline.
-    detector.engine.cache = TranscriptionCache()
-    start = time.perf_counter()
-    for clip in clips:
-        detector.detect(clip)
-    report["sequential_seconds"] = time.perf_counter() - start
-
-    # Batched pipeline, cold private cache.
-    detector.engine.cache = TranscriptionCache()
-    metrics = ServingMetrics()
-    pipeline = DetectionPipeline(detector, observer=metrics.observe_batch)
-    start = time.perf_counter()
-    pipeline.detect_batch(clips)
-    report["batched_seconds"] = time.perf_counter() - start
-
-    # Micro-batched concurrent submission, cold private cache.
-    detector.engine.cache = TranscriptionCache()
-    start = time.perf_counter()
-    with MicroBatcher(pipeline, max_batch_size=args.batch_size,
-                      max_latency_seconds=args.max_latency,
-                      metrics=metrics) as batcher:
-        futures = batcher.submit_many(clips)
-        for future in futures:
-            future.result()
-    report["microbatch_seconds"] = time.perf_counter() - start
-    report["microbatch"] = {
-        "batches": batcher.stats.batches,
-        "mean_batch_size": batcher.stats.mean_batch_size,
-        "size_dispatches": batcher.stats.size_dispatches,
-        "latency_dispatches": batcher.stats.latency_dispatches,
-        "drain_dispatches": batcher.stats.drain_dispatches,
-    }
-
-    # Warm-cache replay through the batched pipeline.
-    start = time.perf_counter()
-    pipeline.detect_batch(clips)
-    report["warm_replay_seconds"] = time.perf_counter() - start
-    report["metrics"] = metrics.snapshot()
-    _save_score_cache(detector)
-
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    n = len(clips)
-    print(f"workload: {n} synthesised clips, scale={args.scale}, "
-          f"workers={detector.engine.workers}")
-    for label, key in (("sequential detect()", "sequential_seconds"),
-                       ("batched pipeline", "batched_seconds"),
-                       ("micro-batched", "microbatch_seconds"),
-                       ("warm-cache replay", "warm_replay_seconds")):
-        seconds = report[key]
-        rate = n / seconds if seconds > 0 else float("inf")
-        speedup = report["sequential_seconds"] / seconds if seconds > 0 else 0.0
-        print(f"{label:<20} {seconds:8.3f} s  {rate:7.1f} clips/s  "
-              f"{speedup:5.2f}x vs sequential")
-    micro = report["microbatch"]
-    print(f"micro-batches: {micro['batches']} "
-          f"(mean size {micro['mean_batch_size']:.2f}; "
-          f"{micro['size_dispatches']} size-, "
-          f"{micro['latency_dispatches']} latency-, "
-          f"{micro['drain_dispatches']} drain-triggered)")
-    print("\nserving metrics (batched + micro-batched + replay):")
-    print(metrics.format_table())
-    return 0
-
-
-# --------------------------------------------------------- bench-similarity
-def cmd_bench_similarity(args: argparse.Namespace) -> int:
-    from repro.similarity.bench import run_similarity_benchmark
-    from repro.similarity.scorer import DEFAULT_METHOD
-
-    if args.pairs < 1:
-        raise CliError("--pairs must be >= 1")
-    if args.overlap < 1:
-        raise CliError("--overlap must be >= 1")
-    try:
-        report = run_similarity_benchmark(
-            n_pairs=args.pairs, overlap=args.overlap, repeats=args.repeats,
-            seed=args.seed, method=args.scorer or DEFAULT_METHOD)
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-    if report["parity_max_abs_diff"] != 0.0:
-        # The fast backend's contract is bit-identical scores; a nonzero
-        # difference is a defect, not a benchmark result.
-        raise CliError(
-            f"backend parity violation: max |reference - fast| = "
-            f"{report['parity_max_abs_diff']} (report in {args.output})")
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    print(f"workload: {report['n_pairs']} distinct pairs, "
-          f"overlap x{report['overlap']}, method {report['method']}, "
-          f"best of {report['repeats']}")
-    for label, shape in (("batch (cold, distinct pairs)", report["batch"]),
-                         ("stream (warm pair-score cache)", report["stream"])):
-        print(f"{label:<31} reference {shape['reference_seconds']:8.4f} s  "
-              f"fast {shape['fast_seconds']:8.4f} s  "
-              f"{shape['speedup']:6.2f}x  "
-              f"({shape['fast_pairs_per_second']:,.0f} pairs/s)")
-    print(f"parity: max |reference - fast| = 0.0 "
-          f"(report written to {args.output})")
-    return 0
-
-
-# -------------------------------------------------------------------- serve
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serving.bench import benchmark_clips
     from repro.serving.service import DetectionService, load_manifest
 
     if args.requests < 1:
@@ -861,7 +573,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise CliError(f"unknown tenant {args.tenant!r} "
                            f"(manifest has: {', '.join(tenants)})")
         tenants = [args.tenant]
-    clips = benchmark_clips(args.clips, args.seed)
+    clips = _serve_clips(args.clips, args.seed)
 
     async def drive():
         return await asyncio.gather(*[
@@ -900,112 +612,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{stats.timeouts} timed out, {stats.errors} errors"
               + (f", {stats.respawns} respawns" if stats.respawns else ""))
     return 1 if flagged else 0
-
-
-# -------------------------------------------------------------- bench-serve
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serving.bench import compare_transports, run_serve_benchmark
-
-    if args.streams < 1:
-        raise CliError("--streams must be >= 1")
-    if args.clips < 1:
-        raise CliError("--clips must be >= 1")
-    if args.workers < 1:
-        raise CliError("--workers must be >= 1")
-    if args.clip_seconds is not None and args.clip_seconds <= 0:
-        raise CliError("--clip-seconds must be > 0")
-    if args.transport == "both":
-        report = compare_transports(
-            n_streams=args.streams, n_clips=args.clips, workers=args.workers,
-            seed=args.seed, timeout_seconds=args.timeout,
-            cache_dir=args.cache_dir,
-            clip_seconds=(args.clip_seconds
-                          if args.clip_seconds is not None else 5.0))
-        total_mismatches = sum(
-            section["parity_mismatches"]
-            for section in report["transports"].values())
-    else:
-        report = run_serve_benchmark(
-            n_streams=args.streams, n_clips=args.clips, workers=args.workers,
-            seed=args.seed, timeout_seconds=args.timeout,
-            cache_dir=args.cache_dir, transport=args.transport,
-            clip_seconds=args.clip_seconds)
-        total_mismatches = report["parity_mismatches"]
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-    if total_mismatches != 0:
-        # The service's contract is the sequential path's verdicts,
-        # bit for bit; a divergence is a defect, not a benchmark result
-        # — and no speedup may be reported on top of one.
-        raise CliError(
-            f"serving parity violation: {total_mismatches} of "
-            f"{report['n_streams']} streams diverged from the sequential "
-            f"path ({report['failed_requests']} resolved to non-ok "
-            f"results; report in {args.output})")
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    service = report["service"]
-    sequential = report["sequential"]
-    print(f"workload: {report['n_streams']} concurrent streams over "
-          f"{report['n_clips']} distinct clips, {report['workers']} workers, "
-          f"transport {report['active_transport']}")
-    print(f"service    {service['wall_seconds']:8.3f} s  "
-          f"{service['throughput_rps']:8.1f} req/s  "
-          f"p50 {service['p50_ms']:7.1f} ms  p99 {service['p99_ms']:7.1f} ms")
-    print(f"sequential {sequential['wall_seconds']:8.3f} s  "
-          f"{sequential['throughput_rps']:8.1f} req/s  "
-          f"per-request {sequential['per_request_ms']:7.1f} ms")
-    ipc = report["ipc"]
-    print(f"ipc: {ipc['bytes_out']:,} B out "
-          f"({ipc['bytes_out_per_request']:,.0f} B/request), "
-          f"{ipc['bytes_in']:,} B in")
-    if args.transport == "both":
-        pickle_ipc = report["transports"]["pickle"]["ipc"]
-        speedup = report["speedup_shm_vs_pickle"]
-        print(f"transports: shm {ipc['bytes_out']:,} B out vs pickle "
-              f"{pickle_ipc['bytes_out']:,} B out; "
-              f"shm throughput {speedup:.2f}x pickle")
-    stats = report["stats"]
-    print(f"parity: 0 of {report['n_streams']} verdicts diverged; "
-          f"{stats['retries']} retries, {stats['respawns']} respawns "
-          f"(report written to {args.output})")
-    return 0
-
-
-# ----------------------------------------------------------- bench-pipeline
-def cmd_bench_pipeline(args: argparse.Namespace) -> int:
-    from repro.pipeline.bench import run_pipeline_benchmark
-
-    if args.clips < 1:
-        raise CliError("--clips must be >= 1")
-    report = run_pipeline_benchmark(n_clips=args.clips, repeats=args.repeats,
-                                    seed=args.seed)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-    if report["parity_mismatches"] != 0:
-        # The fast pipeline's contract is identical transcriptions; a
-        # mismatch is a defect, not a benchmark result.
-        raise CliError(
-            f"pipeline parity violation: {report['parity_mismatches']} "
-            f"transcriptions differ between the reference and fast paths "
-            f"(report in {args.output})")
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    print(f"workload: {report['n_clips']} synthesised clips, suite "
-          f"{'+'.join(report['suite'])}, warm best of {report['repeats']}")
-    for label, shape in (("cold (empty feature cache)", report["cold"]),
-                         ("warm (feature cache hit)", report["warm"])):
-        print(f"{label:<27} reference {shape['reference_seconds']:8.3f} s  "
-              f"fast {shape['fast_seconds']:8.3f} s  "
-              f"{shape['speedup']:6.2f}x  "
-              f"({shape['fast_clips_per_second']:,.1f} clips/s)")
-    cache = report["feature_cache"]
-    print(f"feature cache: {cache['hits']} hits / {cache['misses']} misses "
-          f"({cache['hit_rate']:.0%}); parity: 0 mismatches "
-          f"(report written to {args.output})")
-    return 0
 
 
 # ---------------------------------------------------------------- run/sweep
@@ -1297,12 +903,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
-    handlers = {"screen": cmd_screen, "stream": cmd_stream, "bench": cmd_bench,
-                "serve": cmd_serve,
-                "bench-similarity": cmd_bench_similarity,
-                "bench-pipeline": cmd_bench_pipeline,
-                "bench-serve": cmd_bench_serve,
-                "run": cmd_run, "sweep": cmd_sweep,
+    handlers = {"screen": cmd_screen, "stream": cmd_stream,
+                "serve": cmd_serve, "run": cmd_run, "sweep": cmd_sweep,
                 "backends": cmd_backends, "config": cmd_config}
     try:
         return handlers[args.command](args)

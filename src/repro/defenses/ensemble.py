@@ -18,7 +18,7 @@ multiversion suite:
 Because every transform is deterministic and every score is a pure
 function of transcription texts, the similarity-score vectors are
 bit-identical whether a clip is detected sequentially, in a pipeline
-batch, through the micro-batcher or as a stream window.
+batch, through the detection service or as a stream window.
 """
 
 from __future__ import annotations

@@ -414,7 +414,10 @@ def execute_experiment(experiment, store=None, workers: int | None = None,
     if store is not None:
         try:
             extra = experiment.manifest_extra()
-        except Exception:  # attribution must never fail a run
+        except Exception as exc:  # attribution must never fail a run
+            logger.warning("manifest: extra attribution of %r failed "
+                           "(%s: %s); writing the manifest without it",
+                           experiment.name, type(exc).__name__, exc)
             extra = {}
         store.begin(spec, experiment=experiment.name, total_units=len(units),
                     extra=extra)

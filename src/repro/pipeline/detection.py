@@ -98,7 +98,7 @@ class DetectionPipeline:
             single-clip detection share one cache and worker pool.
         observer: optional callable invoked with every non-empty
             :class:`BatchDetectionResult` this pipeline produces — the
-            hook the serving layer uses to accumulate throughput/latency
+            hook the serving layer uses to accumulate throughput
             counters (see :class:`repro.serving.metrics.ServingMetrics`,
             whose ``observe_batch`` method has this signature).
     """

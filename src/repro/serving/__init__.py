@@ -1,4 +1,4 @@
-"""The serving layer: streaming detection and micro-batched scheduling.
+"""The serving layer: streaming detection and the detection service.
 
 This package turns the batched :mod:`repro.pipeline` execution layer
 into a runtime guard that matches the paper's deployment story (a
@@ -11,16 +11,16 @@ detector sitting on the serving path of a voice assistant, Section V-I):
   stream-level verdict with hysteresis; flagged time spans.
 * :mod:`repro.serving.streaming` — :class:`StreamingDetector` (one-shot
   ``detect_stream`` and incremental :class:`StreamSession`).
-* :mod:`repro.serving.batcher` — :class:`MicroBatcher`, the async
-  micro-batching scheduler for concurrent single-clip requests.
 * :mod:`repro.serving.metrics` — :class:`ServingMetrics`, per-stage
-  throughput/latency counters surfaced by ``repro bench``.
+  throughput counters and cache hit rates folded from pipeline batches
+  and service snapshots.
 * :mod:`repro.serving.arena` — :class:`ShmArena`, the shared-memory
   slab the service's zero-copy ``"shm"`` transport writes audio into
   (generation-tagged slots, crash-safe reclamation).
 * :mod:`repro.serving.service` — :class:`DetectionService`, the
   multi-tenant multi-process front door (admission control, deadlines,
-  crash recovery, shared caches) behind ``repro serve``.
+  crash recovery, shared caches) behind ``repro serve``; its workers
+  drain queued requests in micro-batches with per-request isolation.
 
 See ``docs/SERVING.md`` for the full tour and ``docs/API.md`` for the
 stable public surface.
@@ -42,7 +42,6 @@ from repro.serving.aggregator import (
     StreamDetectionResult,
     WindowVerdict,
 )
-from repro.serving.batcher import BatcherStats, MicroBatcher
 from repro.serving.chunker import (
     StreamConfig,
     StreamWindow,
@@ -71,8 +70,6 @@ __all__ = [
     "StreamAggregator",
     "StreamDetectionResult",
     "WindowVerdict",
-    "BatcherStats",
-    "MicroBatcher",
     "StreamConfig",
     "StreamWindow",
     "chunk_waveform",

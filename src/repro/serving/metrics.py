@@ -1,13 +1,13 @@
-"""Throughput and latency counters for the serving layer.
+"""Throughput counters for the serving layer.
 
-Every serving component — the micro-batcher, the streaming detector, a
-plain :class:`~repro.pipeline.detection.DetectionPipeline` — can record
-into one :class:`ServingMetrics` instance, which accumulates per-stage
-clip counts and wall-clock seconds (the same ``recognition`` /
+Every serving component — the streaming detector, a plain
+:class:`~repro.pipeline.detection.DetectionPipeline`, the detection
+service's transport counters — can record into one
+:class:`ServingMetrics` instance, which accumulates per-stage clip
+counts and wall-clock seconds (the same ``recognition`` /
 ``similarity`` / ``classification`` stages the paper's overhead
-experiment measures) plus request-level latency samples.  ``repro
-bench`` prints the snapshot; embedders can poll :meth:`snapshot` from a
-stats endpoint.
+experiment measures) and cache hit rates.  Embedders can poll
+:meth:`snapshot` from a stats endpoint.
 
 The ``observe_batch`` method has the signature
 :class:`~repro.pipeline.detection.DetectionPipeline` expects of its
@@ -21,11 +21,7 @@ argument::
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-
-#: How many request-latency samples the reservoir keeps for percentiles.
-LATENCY_RESERVOIR = 4096
 
 
 @dataclass
@@ -48,14 +44,6 @@ class StageStats:
     def throughput(self) -> float:
         """Clips per second of stage wall-clock (0 when unused)."""
         return self.clips / self.seconds if self.seconds > 0 else 0.0
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    position = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[position]
 
 
 @dataclass
@@ -98,8 +86,6 @@ class ServingMetrics:
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-        self._latency_samples: deque[float] = deque(maxlen=LATENCY_RESERVOIR)
-        self._queue_wait_samples: deque[float] = deque(maxlen=LATENCY_RESERVOIR)
 
     # ----------------------------------------------------------- recording
     def observe_batch(self, batch) -> None:
@@ -118,16 +104,6 @@ class ServingMetrics:
             for stage, seconds in batch.stage_seconds.items():
                 self.stages.setdefault(stage, StageStats()).record(n, seconds)
 
-    def observe_latency(self, seconds: float) -> None:
-        """Record one end-to-end request latency (submit → verdict)."""
-        with self._lock:
-            self._latency_samples.append(seconds)
-
-    def observe_queue_wait(self, seconds: float) -> None:
-        """Record how long one request waited for its micro-batch."""
-        with self._lock:
-            self._queue_wait_samples.append(seconds)
-
     def observe_service(self, stats) -> None:
         """Fold a :class:`~repro.serving.service.ServiceStats` snapshot's
         transport counters into these metrics (idempotent per snapshot:
@@ -141,8 +117,6 @@ class ServingMetrics:
     def snapshot(self) -> dict:
         """A JSON-friendly snapshot of every counter."""
         with self._lock:
-            latencies = list(self._latency_samples)
-            queue_waits = list(self._queue_wait_samples)
             stages = {
                 name: {
                     "clips": stats.clips,
@@ -178,20 +152,10 @@ class ServingMetrics:
                 "ipc_bytes_in": self.ipc_bytes_in,
                 "requests_retried": self.requests_retried,
                 "stages": stages,
-                "latency_seconds": {
-                    "p50": _percentile(latencies, 0.50),
-                    "p95": _percentile(latencies, 0.95),
-                    "max": max(latencies, default=0.0),
-                },
-                "queue_wait_seconds": {
-                    "p50": _percentile(queue_waits, 0.50),
-                    "p95": _percentile(queue_waits, 0.95),
-                    "max": max(queue_waits, default=0.0),
-                },
             }
 
     def format_table(self) -> str:
-        """Human-readable rendering of :meth:`snapshot` for the CLI."""
+        """Human-readable rendering of :meth:`snapshot`."""
         snap = self.snapshot()
         lines = [
             f"requests {snap['requests']}  batches {snap['batches']}  "
@@ -214,16 +178,6 @@ class ServingMetrics:
                          f"{stats['seconds']:>10.3f}"
                          f"{stats['mean_seconds'] * 1000:>10.2f}"
                          f"{stats['throughput_clips_per_s']:>10.1f}")
-        latency = snap["latency_seconds"]
-        queue = snap["queue_wait_seconds"]
-        if latency["max"] > 0:
-            lines.append(f"request latency  p50 {latency['p50'] * 1000:.1f} ms  "
-                         f"p95 {latency['p95'] * 1000:.1f} ms  "
-                         f"max {latency['max'] * 1000:.1f} ms")
-        if queue["max"] > 0:
-            lines.append(f"queue wait       p50 {queue['p50'] * 1000:.1f} ms  "
-                         f"p95 {queue['p95'] * 1000:.1f} ms  "
-                         f"max {queue['max'] * 1000:.1f} ms")
         if snap["ipc_bytes_out"] or snap["ipc_bytes_in"]:
             lines.append(f"ipc              out {snap['ipc_bytes_out']} B  "
                          f"in {snap['ipc_bytes_in']} B  "

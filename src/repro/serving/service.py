@@ -25,7 +25,7 @@ service never hangs a caller and never lets a worker exception
 propagate.  :meth:`DetectionService.submit` returns a
 :class:`concurrent.futures.Future`; :meth:`DetectionService.asubmit`
 awaits the same future on an asyncio loop, which is what ``repro
-serve`` and the benchmark drive.
+serve`` drives.
 
 Workers share on-disk caches through the concurrency-safe stores in
 :mod:`repro.store` (append-only journals for transcriptions and pair
@@ -54,9 +54,9 @@ descriptor with zero extra copies, slots are reclaimed exactly when
 their request resolves (crashed or not), and the arena segment is
 always unlinked on :meth:`stop`; ``"pickle"`` ships the full sample
 arrays through the queues (the pre-arena behaviour, kept as the
-fallback for platforms without POSIX shared memory and as the
-benchmark baseline).  Both transports are bit-identical — the
-``bench-serve`` parity gate covers each.
+fallback for platforms without POSIX shared memory).  Both transports
+are bit-identical to each other and to the sequential path — pinned by
+``tests/test_serving_concurrency.py``.
 """
 
 from __future__ import annotations

@@ -91,7 +91,8 @@ class ReferenceScoringBackend:
     """The original scalar path: one ``scorer.score`` call per pair.
 
     Kept as the ground truth the fast backend is pinned against, and as
-    the baseline of the similarity benchmark (``repro bench-similarity``).
+    the baseline of the similarity speed gate
+    (``benchmarks/test_similarity_bench.py``).
     """
 
     name = "reference"
@@ -240,7 +241,7 @@ def get_shared_score_cache() -> PairScoreCache:
     """The process-wide pair-score cache shared by default engines.
 
     One content-hash store across every engine means the streaming
-    detector, the micro-batcher and any ad-hoc scoring all reuse each
+    detector, the batched pipeline and any ad-hoc scoring all reuse each
     other's pair scores.  Set ``REPRO_SCORE_CACHE`` to a file path to
     persist the shared cache across processes (call
     :meth:`SimilarityEngine.save_cache` to write it out).

@@ -448,13 +448,13 @@ class PipelineSpec:
 # ------------------------------------------------------------------- serving
 @dataclass(frozen=True)
 class ServingSpec:
-    """The serving layer: stream windowing, micro-batching, workers.
+    """The serving layer: stream windowing, the detection service pool.
 
     The stream fields mirror :class:`repro.serving.chunker.StreamConfig`;
-    the batch fields mirror :class:`repro.serving.batcher.MicroBatcher`;
     the pool fields configure
     :class:`repro.serving.service.DetectionService` — ``workers``
-    worker processes (``0`` = run requests inline in the caller),
+    worker processes (``0`` = run requests inline in the caller), each
+    draining at most ``max_batch_size`` queued requests per micro-batch,
     admission control rejecting new requests once ``queue_depth``
     requests are pending, and a per-request deadline of
     ``request_timeout_seconds`` (``None`` disables the deadline).
@@ -466,7 +466,6 @@ class ServingSpec:
     trigger_windows: int = 2
     release_windows: int = 2
     max_batch_size: int = 8
-    max_latency_seconds: float = 0.01
     workers: int = 2
     queue_depth: int = 64
     request_timeout_seconds: float | None = 30.0
@@ -493,7 +492,6 @@ class ServingSpec:
                 ("trigger_windows", int, False),
                 ("release_windows", int, False),
                 ("max_batch_size", int, False),
-                ("max_latency_seconds", float, False),
                 ("workers", int, False),
                 ("queue_depth", int, False),
                 ("request_timeout_seconds", float, True),
@@ -521,9 +519,6 @@ class ServingSpec:
         if self.max_batch_size < 1:
             out.append(f"{path}.max_batch_size: must be >= 1, "
                        f"got {self.max_batch_size}")
-        if self.max_latency_seconds < 0:
-            out.append(f"{path}.max_latency_seconds: must be >= 0, "
-                       f"got {self.max_latency_seconds}")
         if self.workers < 0:
             out.append(f"{path}.workers: must be >= 0, got {self.workers}")
         if self.queue_depth < 1:

@@ -51,8 +51,11 @@ def test_no_command_prints_help(capsys):
 
 def test_parser_covers_documented_commands():
     parser = build_parser()
-    assert {"screen", "stream", "bench", "bench-similarity"} <= set(
-        parser._subparsers._group_actions[0].choices)
+    commands = set(parser._subparsers._group_actions[0].choices)
+    assert {"screen", "stream", "serve", "run", "sweep", "backends",
+            "config"} <= commands
+    # Performance is measured by perfbench/, not by the command line.
+    assert not any(command.startswith("bench") for command in commands)
 
 
 def test_screen_command(wav_paths, capsys):
@@ -85,19 +88,6 @@ def test_stream_command_json(stream_path, capsys):
     starts = [w["start"] for w in payload["windows"]]
     assert starts == sorted(starts)
     assert (code == 1) == payload["is_adversarial"]
-
-
-def test_bench_command_json(capsys):
-    code = main(["bench", "--clips", "3", "--batch-size", "2",
-                 "--scale", "tiny", "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["clips"] == 3
-    assert payload["sequential_seconds"] > 0
-    assert payload["batched_seconds"] > 0
-    assert payload["microbatch_seconds"] > 0
-    assert payload["metrics"]["requests"] >= 6  # batched + micro + replay
-    assert payload["microbatch"]["batches"] >= 1
 
 
 def test_screen_transform_defense(wav_paths, capsys):
@@ -148,29 +138,6 @@ def test_mistyped_score_cache_policy_is_a_user_error(wav_paths, capsys):
     assert main(["screen", wav_paths[0], "--scale", "tiny",
                  "--score-cache", "sharde"]) == 2
     assert "sharde" in capsys.readouterr().err
-
-
-def test_bench_similarity_writes_report(tmp_path, capsys):
-    out = str(tmp_path / "BENCH_similarity.json")
-    code = main(["bench-similarity", "--pairs", "40", "--overlap", "3",
-                 "--repeats", "1", "--output", out, "--json"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    with open(out, encoding="utf-8") as handle:
-        assert json.load(handle) == payload
-    assert payload["parity_max_abs_diff"] == 0.0
-    assert payload["n_pairs"] == 40
-    assert payload["batch"]["reference_seconds"] > 0
-    assert payload["stream"]["cache_hit_rate"] == 1.0
-
-
-def test_bench_similarity_validates_inputs(tmp_path, capsys):
-    out = str(tmp_path / "r.json")
-    assert main(["bench-similarity", "--pairs", "0", "--output", out]) == 2
-    assert "--pairs" in capsys.readouterr().err
-    assert main(["bench-similarity", "--pairs", "10", "--scorer", "nope",
-                 "--output", out]) == 2
-    assert "nope" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

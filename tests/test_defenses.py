@@ -22,7 +22,6 @@ from repro.defenses import (
 )
 from repro.pipeline.cache import TranscriptionCache
 from repro.pipeline.detection import DetectionPipeline
-from repro.serving.batcher import MicroBatcher
 from repro.serving.chunker import StreamConfig
 from repro.serving.streaming import StreamingDetector
 
@@ -190,7 +189,7 @@ def test_combined_ensemble_orders_asrs_first(ds0, asr_suite):
 
 
 def test_scores_bit_identical_across_paths(ds0, clips):
-    """Sequential, batched, micro-batched and streamed scores all agree."""
+    """Sequential, batched, batch-detected and streamed scores all agree."""
     make = lambda workers: TransformEnsembleDetector(  # noqa: E731
         ds0, transforms=FAST_TRANSFORMS(), cache=False, workers=workers)
 
@@ -203,11 +202,9 @@ def test_scores_bit_identical_across_paths(ds0, clips):
 
     labels = np.array([0, 0, 1])
     batched.fit_features(reference, labels)
-    with MicroBatcher(pipeline, max_batch_size=2,
-                      max_latency_seconds=0.005) as batcher:
-        results = batcher.detect_many(clips)
-    micro = np.array([result.scores for result in results])
-    assert np.array_equal(micro, reference)
+    detected = pipeline.detect_batch(clips)
+    assert np.array_equal(
+        np.array([result.scores for result in detected.results]), reference)
 
     # One stream window per clip (window == clip length, hop == window):
     # every window's scores must equal the per-clip reference row.

@@ -442,6 +442,34 @@ def test_failed_bundle_is_logged_and_the_run_completes(monkeypatch, caplog):
     assert "no bundle at this scale" in warnings[0].getMessage()
 
 
+class _UnattributableExperiment(_BundlelessExperiment):
+    """Two trivial shards; the manifest attribution record always fails."""
+
+    name = "unattributable"
+
+    def manifest_extra(self) -> dict:
+        raise ValueError("suite fingerprint unavailable")
+
+
+@pytest.mark.timeout(60)
+def test_failed_manifest_extra_is_logged_and_the_run_completes(tmp_path,
+                                                               caplog):
+    spec = ExperimentSpec(experiment="nontargeted", scale="tiny").validate()
+    store = RunStore(str(tmp_path / "run"))
+    with caplog.at_level("WARNING", logger="repro.experiments.runner"):
+        result = execute_experiment(_UnattributableExperiment(spec),
+                                    store=store, workers=0)
+    assert result.complete
+    assert result.table.rows == [{"i": 0}, {"i": 1}]
+    assert store.manifest(), "the manifest is still written"
+    warnings = [record for record in caplog.records
+                if record.name == "repro.experiments.runner"
+                and "manifest" in record.getMessage()]
+    assert len(warnings) == 1
+    assert "ValueError" in warnings[0].getMessage()
+    assert "suite fingerprint unavailable" in warnings[0].getMessage()
+
+
 # --------------------------------------------------------------------- CLI
 
 

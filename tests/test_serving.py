@@ -1,6 +1,4 @@
-"""Tests for the serving layer: chunker, aggregator, streaming, micro-batcher."""
-
-import threading
+"""Tests for the serving layer: chunker, aggregator, streaming, metrics."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from repro.audio.waveform import Waveform
 from repro.core.detector import MVPEarsDetector
 from repro.pipeline.detection import DetectionPipeline
 from repro.serving.aggregator import ADVERSARIAL, BENIGN, StreamAggregator
-from repro.serving.batcher import MicroBatcher
 from repro.serving.chunker import StreamConfig, chunk_waveform
 from repro.serving.metrics import ServingMetrics
 from repro.serving.streaming import StreamingDetector
@@ -267,167 +264,6 @@ def test_stream_session_guards(detector):
         StreamingDetector()  # neither detector nor pipeline
 
 
-# ------------------------------------------------------------ micro-batcher
-
-
-class StubPipeline:
-    """Counts detect_batch calls; fails whole batches containing poison."""
-
-    def __init__(self):
-        self.batches = []
-
-    def detect_batch(self, audios):
-        from repro.pipeline.detection import BatchDetectionResult
-
-        self.batches.append(len(audios))
-        if any(audio.label == "poison" for audio in audios):
-            raise RuntimeError("poison in batch")
-        results = [f"ok:{audio.label}" for audio in audios]
-        return BatchDetectionResult(
-            results=results, features=np.zeros((len(audios), 1)),
-            predictions=np.zeros(len(audios), dtype=int),
-            stage_seconds={"total": 0.0})
-
-
-def _tagged(label):
-    return Waveform(np.zeros(16), sample_rate=SR, label=label)
-
-
-def test_batcher_size_trigger():
-    pipeline = StubPipeline()
-    with MicroBatcher(pipeline, max_batch_size=3,
-                      max_latency_seconds=10.0) as batcher:
-        futures = batcher.submit_many([_tagged(f"c{i}") for i in range(3)])
-        # Dispatched by size, long before the 10 s latency deadline.
-        results = [f.result(timeout=5) for f in futures]
-    assert results == ["ok:c0", "ok:c1", "ok:c2"]
-    assert batcher.stats.size_dispatches >= 1
-    assert batcher.stats.latency_dispatches == 0
-    assert max(pipeline.batches) == 3
-
-
-def test_batcher_latency_trigger():
-    pipeline = StubPipeline()
-    with MicroBatcher(pipeline, max_batch_size=100,
-                      max_latency_seconds=0.05) as batcher:
-        future = batcher.submit(_tagged("solo"))
-        assert future.result(timeout=5) == "ok:solo"
-        # Single-request fallback: a batch of one, dispatched on latency.
-        assert batcher.stats.latency_dispatches == 1
-        assert batcher.stats.largest_batch == 1
-
-
-def test_batcher_immediate_dispatch_with_zero_latency():
-    pipeline = StubPipeline()
-    with MicroBatcher(pipeline, max_batch_size=8,
-                      max_latency_seconds=0.0) as batcher:
-        assert batcher.detect(_tagged("now")) == "ok:now"
-
-
-def test_batcher_exception_isolation():
-    pipeline = StubPipeline()
-    with MicroBatcher(pipeline, max_batch_size=4,
-                      max_latency_seconds=10.0) as batcher:
-        futures = batcher.submit_many(
-            [_tagged("a"), _tagged("poison"), _tagged("b"), _tagged("c")])
-        # The poisoned request fails alone; its batch-mates all succeed.
-        assert futures[0].result(timeout=5) == "ok:a"
-        with pytest.raises(RuntimeError, match="poison"):
-            futures[1].result(timeout=5)
-        assert futures[2].result(timeout=5) == "ok:b"
-        assert futures[3].result(timeout=5) == "ok:c"
-    assert batcher.stats.isolated_failures == 1
-
-
-def test_batcher_drains_on_close():
-    pipeline = StubPipeline()
-    batcher = MicroBatcher(pipeline, max_batch_size=100,
-                           max_latency_seconds=30.0)
-    futures = batcher.submit_many([_tagged("x"), _tagged("y")])
-    batcher.close(wait=True)
-    assert [f.result(timeout=0) for f in futures] == ["ok:x", "ok:y"]
-    with pytest.raises(RuntimeError):
-        batcher.submit(_tagged("late"))
-    batcher.close()  # idempotent
-
-
-def test_batcher_result_count_mismatch_fails_futures():
-    class ShortPipeline(StubPipeline):
-        def detect_batch(self, audios):
-            result = super().detect_batch(audios)
-            return type(result)(results=result.results[:-1],
-                                features=result.features,
-                                predictions=result.predictions,
-                                stage_seconds=result.stage_seconds)
-
-    with MicroBatcher(ShortPipeline(), max_batch_size=2,
-                      max_latency_seconds=0.0) as batcher:
-        future = batcher.submit(_tagged("lost"))
-        with pytest.raises(RuntimeError, match="returned 0 results"):
-            future.result(timeout=5)
-
-
-def test_batcher_survives_raising_metrics_observer():
-    class BrokenMetrics(ServingMetrics):
-        def observe_queue_wait(self, seconds):
-            raise RuntimeError("broken observer")
-
-    pipeline = StubPipeline()
-    with MicroBatcher(pipeline, max_batch_size=1, max_latency_seconds=0.0,
-                      metrics=BrokenMetrics()) as batcher:
-        first = batcher.submit(_tagged("a"))
-        with pytest.raises(RuntimeError, match="broken observer"):
-            first.result(timeout=5)
-        # The scheduler thread survived and still serves later requests
-        # (they fail the same way, but their futures resolve).
-        second = batcher.submit(_tagged("b"))
-        with pytest.raises(RuntimeError, match="broken observer"):
-            second.result(timeout=5)
-
-
-def test_batcher_validation():
-    with pytest.raises(ValueError):
-        MicroBatcher(StubPipeline(), max_batch_size=0)
-    with pytest.raises(ValueError):
-        MicroBatcher(StubPipeline(), max_latency_seconds=-1)
-
-
-def test_batcher_scores_bit_identical_to_sequential(detector, clips):
-    """Acceptance: micro-batched == sequential pipeline, bit for bit."""
-    pipeline = DetectionPipeline(detector)
-    sequential = [pipeline.detect_batch([clip]).results[0] for clip in clips]
-    with MicroBatcher(pipeline, max_batch_size=len(clips),
-                      max_latency_seconds=0.2) as batcher:
-        batched = batcher.detect_many(clips)
-    for a, b in zip(sequential, batched):
-        assert np.array_equal(a.scores, b.scores)
-        assert a.is_adversarial == b.is_adversarial
-        assert a.target_transcription == b.target_transcription
-
-
-def test_batcher_concurrent_submitters(detector, clips):
-    pipeline = DetectionPipeline(detector)
-    results = {}
-
-    def client(i, clip):
-        with_batcher = batcher.detect(clip)
-        results[i] = with_batcher
-
-    with MicroBatcher(pipeline, max_batch_size=4,
-                      max_latency_seconds=0.05) as batcher:
-        threads = [threading.Thread(target=client, args=(i, clip))
-                   for i, clip in enumerate(clips * 2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    assert len(results) == len(clips) * 2
-    for i, clip in enumerate(clips * 2):
-        direct = detector.detect(clip)
-        assert results[i].is_adversarial == direct.is_adversarial
-        assert np.allclose(results[i].scores, direct.scores)
-
-
 # ----------------------------------------------------------------- metrics
 
 
@@ -444,24 +280,3 @@ def test_metrics_observe_pipeline_batches(detector, clips):
     assert "throughput_clips_per_s" in snap["stages"]["total"]
     assert metrics.format_table()  # renders without error
 
-
-def test_metrics_latency_percentiles():
-    metrics = ServingMetrics()
-    for value in (0.010, 0.020, 0.030, 0.100):
-        metrics.observe_latency(value)
-    metrics.observe_queue_wait(0.005)
-    snap = metrics.snapshot()
-    assert snap["latency_seconds"]["max"] == pytest.approx(0.100)
-    assert 0.010 <= snap["latency_seconds"]["p50"] <= 0.030
-    assert snap["queue_wait_seconds"]["p50"] == pytest.approx(0.005)
-
-
-def test_batcher_records_metrics(detector, clips):
-    metrics = ServingMetrics()
-    pipeline = DetectionPipeline(detector, observer=metrics.observe_batch)
-    with MicroBatcher(pipeline, max_batch_size=len(clips),
-                      max_latency_seconds=0.05, metrics=metrics) as batcher:
-        batcher.detect_many(clips)
-    snap = metrics.snapshot()
-    assert snap["requests"] == len(clips)
-    assert snap["latency_seconds"]["max"] > 0

@@ -23,7 +23,7 @@ from repro.asr.registry import (
     register_asr,
     unregister_asr,
 )
-from repro.build import build, build_batcher, build_pipeline, build_streaming
+from repro.build import build, build_pipeline, build_service, build_streaming
 from repro.core.bootstrap import default_detector
 from repro.errors import UnknownComponentError
 from repro.specs import (
@@ -127,6 +127,9 @@ def test_from_dict_rejects_unknown_fields():
         DetectorSpec.from_dict({"scoring": {"backnd": "fast"}})
     with pytest.raises(InvalidSpecError, match="allowed"):
         DetectorSpec.from_dict({"sute": {}})
+    with pytest.raises(InvalidSpecError,
+                       match="serving: unknown field 'max_latency_seconds'"):
+        DetectorSpec.from_dict({"serving": {"max_latency_seconds": 0.01}})
 
 
 def test_empty_auxiliaries_is_invalid():
@@ -350,13 +353,10 @@ def test_build_streaming_uses_serving_section(tiny_detector_spec):
     assert streaming.config.trigger_windows == 1
 
 
-def test_build_batcher_uses_serving_section(tiny_detector_spec):
-    spec = (tiny_detector_spec
-            .with_value("serving.max_batch_size", 3)
-            .with_value("serving.max_latency_seconds", 0.5))
-    with build_batcher(spec) as batcher:
-        assert batcher.max_batch_size == 3
-        assert batcher.max_latency_seconds == 0.5
+def test_build_service_uses_serving_section(tiny_detector_spec):
+    spec = tiny_detector_spec.with_value("serving.max_batch_size", 3)
+    service = build_service(spec, fit=False)
+    assert service.max_batch_size == 3
 
 
 def test_serving_transport_field_validates_and_overlays():
