@@ -3,12 +3,14 @@
 Times the seed library's per-clip recognition path against the
 vectorized one on a synthetic clip batch, over the default ASR suite:
 
-* **reference** — freshly built suite instances with the scalar decoder
-  search, sequential fan-out (``workers=0``), no caches and no feature
-  engine: the path the seed library ran.
-* **cold** — freshly built suite instances on the fast path: vectorized
-  decoder search, batched front end and acoustic scoring, and a private
-  :class:`~repro.dsp.feature_cache.FeatureCache` that starts empty.
+* **reference** — freshly built suite instances whose decoders search
+  the lexicon with the seed per-word loop (``tests/oracles/decoder.py``),
+  sequential fan-out (``workers=0``), no caches and no feature engine:
+  the path the seed library ran.
+* **cold** — freshly built suite instances on the runtime path:
+  vectorized decoder search, batched front end and acoustic scoring,
+  and a private :class:`~repro.dsp.feature_cache.FeatureCache` that
+  starts empty.
 * **warm** — the same fast engine run again, so every front-end matrix
   comes out of the feature cache (best of ``REPEATS``).
 
@@ -24,6 +26,7 @@ import time
 
 import numpy as np
 
+from oracles.decoder import use_scalar_search
 from repro.asr.registry import (
     build_fresh_asr,
     default_suite_names,
@@ -49,11 +52,14 @@ def _clips(n_clips: int, seed: int = 0):
     return [synthesizer.synthesize(sentence) for sentence in sentences]
 
 
-def _fresh_engine(names, search: str, **kwargs) -> TranscriptionEngine:
-    """An engine over fresh, uncached suite instances using ``search``."""
+def _fresh_engine(names, scalar_search: bool = False,
+                  **kwargs) -> TranscriptionEngine:
+    """An engine over fresh, uncached suite instances; ``scalar_search``
+    swaps each decoder's lexicon search for the oracle's."""
     suite = [build_fresh_asr(name) for name in names]
-    for asr in suite:
-        asr.word_decoder.search = search
+    if scalar_search:
+        for asr in suite:
+            use_scalar_search(asr.word_decoder)
     return TranscriptionEngine(suite[0], suite[1:], workers=0, cache=False,
                                **kwargs)
 
@@ -73,15 +79,14 @@ def test_pipeline_benchmark():
     names = default_suite_names()
     clips = _clips(N_CLIPS)
 
-    reference_engine = _fresh_engine(names, "scalar")
+    reference_engine = _fresh_engine(names, scalar_search=True)
     start = time.perf_counter()
     reference_results = [reference_engine.transcribe(clip) for clip in clips]
     reference_seconds = time.perf_counter() - start
 
     feature_cache = FeatureCache(capacity=max(64, 4 * N_CLIPS * len(names)))
     fast_engine = _fresh_engine(
-        names, "fast",
-        feature_engine=FeatureEngine(backend="fast", cache=feature_cache))
+        names, feature_engine=FeatureEngine(cache=feature_cache))
     start = time.perf_counter()
     cold_results = fast_engine.transcribe_batch(clips)
     cold_seconds = time.perf_counter() - start

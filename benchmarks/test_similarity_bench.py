@@ -1,12 +1,13 @@
 """Benchmark E-SIM: the similarity scoring engine's speed gate.
 
-Times the ``reference`` scalar backend against the ``fast`` encode-once
-backend on a synthetic transcription corpus, over the two workload
-shapes the library serves, and asserts the engine's two perf contracts:
+Times the scalar oracle (one ``scorer.score`` call per pair, kept in
+``tests/oracles/scoring.py``) against the engine's encode-once path on a
+synthetic transcription corpus, over the two workload shapes the library
+serves, and asserts the engine's two perf contracts:
 
 * **batch** — distinct transcription pairs scored once each (the
-  ``detect_batch`` shape), both backends cache-less: the fast backend
-  is no slower than the reference backend.
+  ``detect_batch`` shape), both cache-less: the engine is no slower than
+  the scalar loop.
 * **stream** — every pair recurs ``OVERLAP`` times, interleaved the way
   overlapping stream windows re-hear the same audio: a warm
   :class:`~repro.similarity.score_cache.PairScoreCache` delivers at
@@ -19,7 +20,8 @@ import time
 
 import numpy as np
 
-from repro.similarity.engine import SimilarityEngine, get_scoring_backend
+from oracles.scoring import ReferenceScoringBackend
+from repro.similarity.engine import SimilarityEngine
 from repro.similarity.score_cache import PairScoreCache
 from repro.similarity.scorer import DEFAULT_METHOD, get_scorer
 from repro.text.corpus import librispeech_like_corpus
@@ -90,24 +92,24 @@ def _best_of(repeats: int, fn) -> float:
 
 def test_similarity_engine_benchmark():
     scorer = get_scorer(DEFAULT_METHOD)
-    reference = get_scoring_backend("reference")
-    fast = get_scoring_backend("fast")
+    reference = ReferenceScoringBackend()
+    fast = SimilarityEngine(scorer=scorer, cache=False)
     pairs = _transcription_pairs(N_PAIRS)
     stream = _interleave_stream(pairs, OVERLAP)
 
     parity = float(np.max(np.abs(reference.score_pairs(scorer, pairs)
-                                 - fast.score_pairs(scorer, pairs)),
+                                 - fast.score_pairs(pairs)),
                           initial=0.0))
     assert parity == 0.0
 
     batch_reference = _best_of(REPEATS,
                                lambda: reference.score_pairs(scorer, pairs))
-    batch_fast = _best_of(REPEATS, lambda: fast.score_pairs(scorer, pairs))
+    batch_fast = _best_of(REPEATS, lambda: fast.score_pairs(pairs))
 
     stream_reference = _best_of(REPEATS,
                                 lambda: reference.score_pairs(scorer, stream))
     cache = PairScoreCache(capacity=max(65536, len(pairs) * 2))
-    warm_engine = SimilarityEngine(scorer=scorer, backend=fast, cache=cache)
+    warm_engine = SimilarityEngine(scorer=scorer, cache=cache)
     warm_engine.score_pairs(pairs)
     cache.stats.hits = cache.stats.misses = 0
     stream_fast = _best_of(REPEATS, lambda: warm_engine.score_pairs(stream))

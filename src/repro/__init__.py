@@ -5,9 +5,9 @@ the declarative spec tree and the ``repro.build(spec)`` entry points
 (see ``docs/CONFIG.md``), the detector and its batched pipeline, the
 serving layer (streaming detection, the multi-process detection
 service, metrics), the
-similarity scoring engine (pluggable backends + pair-score cache, see
-``docs/SCORING.md``), the front-end feature engine (pluggable DSP
-backends + content-hash feature cache, see ``docs/FEATURES.md``), the
+similarity scoring engine (encode-once kernels + pair-score cache, see
+``docs/SCORING.md``), the front-end feature engine (batched front ends
++ content-hash feature cache, see ``docs/FEATURES.md``), the
 open ASR registry, the attacks, and the waveform value type.  Everything else lives in the subpackages and is
 considered internal (see ``docs/ARCHITECTURE.md``).
 
@@ -40,10 +40,7 @@ from repro.defenses.ensemble import TransformedASR, TransformEnsembleDetector
 from repro.defenses.transforms import Transform, default_transform_suite, parse_transforms
 from repro.dsp.engine import (
     FeatureEngine,
-    feature_backend_names,
-    get_feature_backend,
     get_shared_feature_cache,
-    register_feature_backend,
     resolve_feature_cache,
 )
 from repro.caching import CacheStats
@@ -61,11 +58,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.service import (DetectionService, ServeResult,
                                    load_manifest)
 from repro.serving.streaming import StreamingDetector, StreamSession
-from repro.similarity.engine import (
-    SimilarityEngine,
-    get_scoring_backend,
-    register_scoring_backend,
-)
+from repro.similarity.engine import SimilarityEngine
 from repro.similarity.score_cache import PairScoreCache
 from repro.similarity.scorer import SIMILARITY_METHODS, SimilarityScorer, get_scorer
 from repro.specs import (
@@ -119,10 +112,7 @@ __all__ = [
     "FeatureEngine",
     "FeatureCache",
     "CacheStats",
-    "feature_backend_names",
-    "get_feature_backend",
     "get_shared_feature_cache",
-    "register_feature_backend",
     "resolve_feature_cache",
     "TranscriptionCache",
     "BatchDetectionResult",
@@ -141,8 +131,6 @@ __all__ = [
     "ServeResult",
     "load_manifest",
     "SimilarityEngine",
-    "get_scoring_backend",
-    "register_scoring_backend",
     "PairScoreCache",
     "SIMILARITY_METHODS",
     "SimilarityScorer",

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.text.language_model import BigramLanguageModel
 from repro.text.lexicon import Lexicon
-from repro.text.metrics import edit_distance, levenshtein_codes_batch
+from repro.text.metrics import levenshtein_codes_batch
 from repro.text.phonemes import PHONEMES, SILENCE, Phoneme
 
 # ----------------------------------------------------------- frame decoders
@@ -36,9 +36,10 @@ def smoothed_frame_labels(log_posteriors: np.ndarray, window: int = 2) -> list[P
     Stands in for the recurrent context of an LSTM acoustic model: each
     frame's score is averaged with its neighbours before the decision.
 
-    Vectorized sliding-window smoothing; bit-identical to
-    :func:`smoothed_frame_labels_reference` (the einsum contraction over
-    the window axis sums in the same order as ``np.convolve``).
+    Vectorized sliding-window smoothing; bit-identical to the seed
+    library's per-column ``np.convolve`` loop kept in ``tests/oracles/``
+    (the einsum contraction over the window axis sums in the same order
+    as ``np.convolve``).
     """
     log_posteriors = np.asarray(log_posteriors)
     if window < 1:
@@ -52,27 +53,6 @@ def smoothed_frame_labels(log_posteriors: np.ndarray, window: int = 2) -> list[P
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, 2 * window + 1, axis=0)          # (n_frames, n_phonemes, 2w+1)
     smoothed = np.einsum("nkw,w->nk", windows, kernel)
-    return [PHONEMES[i] for i in smoothed.argmax(axis=1)]
-
-
-def smoothed_frame_labels_reference(log_posteriors: np.ndarray,
-                                    window: int = 2) -> list[Phoneme]:
-    """Per-column ``np.convolve`` smoothing (the seed library's path).
-
-    Kept as the parity reference for :func:`smoothed_frame_labels`.
-    """
-    log_posteriors = np.asarray(log_posteriors)
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    n_frames = log_posteriors.shape[0]
-    if n_frames == 0:
-        return []
-    kernel = np.ones(2 * window + 1)
-    kernel /= kernel.sum()
-    padded = np.pad(log_posteriors, ((window, window), (0, 0)), mode="edge")
-    smoothed = np.empty_like(log_posteriors)
-    for k in range(log_posteriors.shape[1]):
-        smoothed[:, k] = np.convolve(padded[:, k], kernel, mode="valid")
     return [PHONEMES[i] for i in smoothed.argmax(axis=1)]
 
 
@@ -181,26 +161,22 @@ class WordDecoder:
     unintelligible audio).
 
     The lexicon search — the hot loop of the whole recognition stack —
-    has two implementations selected by ``search``: ``"fast"`` (default)
     computes every candidate's edit distance in one vectorized integer
     DP (:func:`~repro.text.metrics.levenshtein_codes_batch`) and reuses
-    per-``previous`` language-model score vectors; ``"scalar"`` is the
-    seed library's per-word loop.  Both produce identical words and
-    identical (integer + float64) costs — the selection replays the
-    scalar loop's exact pruning and tie-breaking order.
+    per-``previous`` language-model score vectors.  It produces the same
+    words and the same (integer + float64) costs as the seed library's
+    per-word loop kept in ``tests/oracles/``: the selection replays that
+    loop's exact pruning and tie-breaking order.
     """
 
     #: Per-phoneme cost above which a segment is considered unintelligible.
     MAX_COST_PER_PHONEME = 0.67
 
     def __init__(self, lexicon: Lexicon, language_model: BigramLanguageModel,
-                 lm_weight: float = 0.2, search: str = "fast"):
-        if search not in {"fast", "scalar"}:
-            raise ValueError("search must be 'fast' or 'scalar'")
+                 lm_weight: float = 0.2):
         self.lexicon = lexicon
         self.language_model = language_model
         self.lm_weight = lm_weight
-        self.search = search
         self._entries: list[tuple[str, tuple[Phoneme, ...]]] = []
         self._by_length: dict[int, list[int]] = {}
         self._segment_cache: dict[tuple, tuple[str, float]] = {}
@@ -214,7 +190,7 @@ class WordDecoder:
         for idx, (_, pron) in enumerate(self._entries):
             self._by_length.setdefault(len(pron), []).append(idx)
         self._words = [word for word, _ in self._entries]
-        # Pre-encode the pronunciations once: the fast search then only
+        # Pre-encode the pronunciations once: the search then only
         # has to encode each new segment (codes are non-negative, so the
         # -1 padding never matches a hypothesis token).
         self._codes: dict[Phoneme, int] = {}
@@ -284,41 +260,8 @@ class WordDecoder:
         cache_key = (segment, previous if self.lm_weight > 0 else None)
         if cache_key in self._segment_cache:
             return self._segment_cache[cache_key]
-        if self.search == "scalar":
-            result = self._best_word_scalar(segment, previous)
-        else:
-            result = self._best_word_fast(segment, previous)
+        result = self._search_lexicon(segment, previous)
         self._segment_cache[cache_key] = result
-        return result
-
-    def _best_word_scalar(self, segment: tuple[Phoneme, ...],
-                          previous: str | None) -> tuple[str, float]:
-        """Per-word loop lexicon search (the seed library's path).
-
-        Kept as the parity reference for :meth:`_best_word_fast`.
-        """
-        seg_len = len(segment)
-        best_word = ""
-        best_score = float("inf")
-        for length in range(max(1, seg_len - 2), seg_len + 3):
-            for idx in self._by_length.get(length, ()):
-                word, pron = self._entries[idx]
-                distance = edit_distance(pron, segment)
-                if distance - 1 > best_score:
-                    continue
-                lm_bonus = self.language_model.word_score(previous, word)
-                score = distance - self.lm_weight * lm_bonus
-                if score < best_score:
-                    best_score = score
-                    best_word = word
-        if not best_word:
-            # Fall back to an unconstrained search over the whole lexicon.
-            for word, pron in self._entries:
-                distance = edit_distance(pron, segment)
-                if distance < best_score:
-                    best_score = distance
-                    best_word = word
-        result = (best_word, float(best_score if best_score != float("inf") else seg_len))
         return result
 
     def _segment_distances(self, segment: tuple[Phoneme, ...]) -> np.ndarray:
@@ -349,15 +292,14 @@ class WordDecoder:
             self._lm_vectors[previous] = cached
         return cached
 
-    def _best_word_fast(self, segment: tuple[Phoneme, ...],
+    def _search_lexicon(self, segment: tuple[Phoneme, ...],
                         previous: str | None) -> tuple[str, float]:
         """Vectorized lexicon search; replays the scalar selection exactly.
 
         The distances come from one batched integer DP and the LM bonus
         from a cached per-context vector; the candidate scan below keeps
-        the scalar loop's iteration order, pruning rule and strict ``<``
-        tie-break, so word and cost are bit-identical to
-        :meth:`_best_word_scalar`.
+        the seed per-word loop's iteration order, pruning rule and strict
+        ``<`` tie-break, so word and cost are bit-identical to it.
         """
         seg_len = len(segment)
         distances = self._segment_distances(segment)

@@ -118,8 +118,7 @@ def build_feature_engine(features_spec):
     if features_spec.backend == "off":
         return None
     from repro.dsp.engine import FeatureEngine, resolve_feature_cache
-    return FeatureEngine(backend=features_spec.backend,
-                         cache=resolve_feature_cache(features_spec.cache))
+    return FeatureEngine(cache=resolve_feature_cache(features_spec.cache))
 
 
 def _training_source(spec: DetectorSpec) -> str:
@@ -174,7 +173,6 @@ def build(spec: DetectorSpec | Mapping | str | None = None, *,
 
     scoring = SimilarityEngine(
         scorer=overrides.get("scorer", spec.scoring.scorer),
-        backend=spec.scoring.backend,
         cache=resolve_score_cache(overrides.get("score_cache",
                                                 spec.scoring.cache)))
     cache = resolve_transcription_cache(overrides.get("cache",

@@ -20,14 +20,15 @@ config the paper's default DS0+{DS1, GCS, AT} system is described by
 flags alone — ``--target`` / ``--auxiliaries`` pick suite members from
 the open ASR registry (plugins included), ``--defense
 transform|combined`` swaps in transformed views of the target (see
-docs/DEFENSES.md), ``--scorer`` / ``--scoring-backend`` /
-``--score-cache`` shape the scoring engine (see docs/SCORING.md), and
+docs/DEFENSES.md), ``--scorer`` / ``--score-cache`` shape the scoring
+engine (see docs/SCORING.md), and
 ``--scale`` picks the training preset (default ``tiny``; the first run
 at a scale generates and disk-caches that dataset).  ``config show``
 prints the effective spec as JSON — a ready-to-save config file —
 and ``config validate`` schema-checks files, naming each bad field and
-its allowed values.  ``--feature-backend`` / ``--feature-cache`` shape
-the front-end feature engine (see docs/FEATURES.md).  ``serve`` starts
+its allowed values.  ``--feature-backend`` (``fast`` or ``off``) /
+``--feature-cache`` shape the front-end feature engine (see
+docs/FEATURES.md).  ``serve`` starts
 the multi-process :class:`~repro.serving.service.DetectionService` from
 a tenant manifest (see docs/SERVING.md) and drives a synthetic request
 burst through its asyncio front door.  Performance is measured by the
@@ -120,22 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--scorer", default=None, metavar="METHOD",
                          help="similarity method name, e.g. PE_JaroWinkler "
                               "(default), Cosine, PE_Jaccard")
-        sub.add_argument("--scoring-backend", default=None,
-                         choices=("fast", "reference"),
-                         help="similarity kernel backend: the encode-once "
-                              "fast engine (default) or the paper-faithful "
-                              "scalar reference path (bit-identical scores)")
         sub.add_argument("--score-cache", default=None, metavar="POLICY",
                          help="pair-score cache: 'shared' (default, "
                               "process-wide), 'private', 'off', or a JSON "
                               "file path for an on-disk store")
         sub.add_argument("--feature-backend", default=None,
-                         choices=("fast", "reference", "off"),
-                         help="front-end feature backend: the batch-"
-                              "vectorized engine (fast, default), the "
-                              "per-clip reference path (bit-identical "
-                              "features), or 'off' to disable the shared "
-                              "feature engine entirely")
+                         choices=("fast", "off"),
+                         help="front-end feature engine: the shared batch-"
+                              "vectorized engine (fast, default) or 'off' "
+                              "so every ASR runs its own front end")
         sub.add_argument("--feature-cache", default=None, metavar="POLICY",
                          help="feature cache: 'shared' (default, "
                               "process-wide), 'private', 'off', or an .npz "
@@ -343,7 +337,6 @@ _LEAF_FLAGS = (("scale", "training.scale"),
                ("classifier", "classifier.name"),
                ("workers", "pipeline.workers"),
                ("scorer", "scoring.scorer"),
-               ("scoring_backend", "scoring.backend"),
                ("score_cache", "scoring.cache"),
                ("feature_backend", "pipeline.features.backend"),
                ("feature_cache", "pipeline.features.cache"))

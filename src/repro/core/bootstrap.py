@@ -37,7 +37,6 @@ _UNSET = object()
 def default_detector(target=_UNSET, auxiliaries=_UNSET, classifier=_UNSET,
                      scale=_UNSET, workers=_UNSET, cache=_UNSET,
                      defense=_UNSET, transforms=_UNSET, scorer=_UNSET,
-                     scoring_backend=_UNSET,
                      score_cache=_UNSET) -> MVPEarsDetector:
     """Build and fit a default detection system (legacy keyword surface).
 
@@ -66,7 +65,6 @@ def default_detector(target=_UNSET, auxiliaries=_UNSET, classifier=_UNSET,
         scorer: similarity method name or a
             :class:`~repro.similarity.scorer.SimilarityScorer` (spec:
             ``scoring.scorer``).
-        scoring_backend: scoring backend name (spec: ``scoring.backend``).
         score_cache: pair-score cache policy — a policy string, bool, or
             a :class:`PairScoreCache` instance (spec: ``scoring.cache``).
 
@@ -81,8 +79,8 @@ def default_detector(target=_UNSET, auxiliaries=_UNSET, classifier=_UNSET,
         ("target", target), ("auxiliaries", auxiliaries),
         ("classifier", classifier), ("scale", scale), ("workers", workers),
         ("cache", cache), ("defense", defense), ("transforms", transforms),
-        ("scorer", scorer), ("scoring_backend", scoring_backend),
-        ("score_cache", score_cache)) if value is not _UNSET}
+        ("scorer", scorer), ("score_cache", score_cache))
+        if value is not _UNSET}
     if passed:
         warnings.warn(
             f"default_detector({', '.join(sorted(passed))}=...) keywords are "
@@ -91,8 +89,7 @@ def default_detector(target=_UNSET, auxiliaries=_UNSET, classifier=_UNSET,
 
     overrides: dict = {}
     spec_kwargs: dict = {}
-    for name in ("target", "classifier", "scale", "workers", "defense",
-                 "scoring_backend"):
+    for name in ("target", "classifier", "scale", "workers", "defense"):
         if name in passed:
             spec_kwargs[name] = passed[name]
     if "auxiliaries" in passed:

@@ -7,8 +7,8 @@ parallel — recognition fans out across a
 ``workers=0`` selecting the original sequential path — one similarity
 score per auxiliary is computed between the target transcription and that
 auxiliary's transcription through a
-:class:`~repro.similarity.engine.SimilarityEngine` (pluggable backend +
-shared pair-score cache, the ``scoring`` constructor argument), and the
+:class:`~repro.similarity.engine.SimilarityEngine` (encode-once kernels
++ shared pair-score cache, the ``scoring`` constructor argument), and the
 score vector is classified as benign or adversarial.  Batched detection
 over many clips lives in
 :class:`~repro.pipeline.detection.DetectionPipeline`.
@@ -29,7 +29,7 @@ from repro.ml.metrics import ClassificationReport, classification_report
 from repro.ml.registry import build_classifier
 from repro.pipeline.cache import TranscriptionCache
 from repro.pipeline.engine import TranscriptionEngine
-from repro.similarity.engine import ScoringBackend, SimilarityEngine
+from repro.similarity.engine import SimilarityEngine
 from repro.similarity.scorer import SimilarityScorer
 
 
@@ -72,10 +72,9 @@ class MVPEarsDetector:
             shared pool/cache); overrides ``workers``/``cache``.
         cache: transcription cache policy, passed through to the engine
             (``True`` shares the process-wide content-hash cache).
-        scoring: similarity scoring engine — a pre-built
-            :class:`~repro.similarity.engine.SimilarityEngine`, a backend
-            (instance or registry name ``"fast"``/``"reference"``), or
-            ``None`` for the default fast engine with the shared
+        scoring: a pre-built
+            :class:`~repro.similarity.engine.SimilarityEngine`, or
+            ``None`` for an engine over ``scorer`` with the shared
             pair-score cache.
         feature_engine: optional :class:`~repro.dsp.engine.FeatureEngine`
             handed to a newly built transcription engine so suite members
@@ -89,7 +88,7 @@ class MVPEarsDetector:
                  workers: int | None = None,
                  engine: TranscriptionEngine | None = None,
                  cache: TranscriptionCache | bool | None = True,
-                 scoring: SimilarityEngine | ScoringBackend | str | None = None,
+                 scoring: SimilarityEngine | None = None,
                  feature_engine=None):
         if not auxiliary_asrs:
             raise ValueError("at least one auxiliary ASR is required")
@@ -97,8 +96,8 @@ class MVPEarsDetector:
         self.auxiliary_asrs = list(auxiliary_asrs)
         self.classifier = (build_classifier(classifier)
                            if isinstance(classifier, str) else classifier)
-        self.scoring = (scoring if isinstance(scoring, SimilarityEngine)
-                        else SimilarityEngine(scorer=scorer, backend=scoring))
+        self.scoring = (scoring if scoring is not None
+                        else SimilarityEngine(scorer=scorer))
         self.scorer = self.scoring.scorer
         self.engine = engine if engine is not None else TranscriptionEngine(
             target_asr, self.auxiliary_asrs, workers=workers, cache=cache,

@@ -11,7 +11,7 @@ original sequential path.  Scoring is routed through a
 :class:`~repro.similarity.engine.SimilarityEngine`, so every function here
 is a thin wrapper over its batch APIs: repeated text pairs hit the shared
 pair-score cache and each distinct transcription is encoded exactly once.
-Pass ``scoring=`` to inject a configured engine (custom backend or private
+Pass ``scoring=`` to inject a configured engine (say, one with a private
 cache); the ``scorer`` argument alone builds a default engine around it.
 """
 

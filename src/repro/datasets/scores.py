@@ -90,7 +90,7 @@ class ScoredDataset:
             method: similarity method; defaults to the dataset's method and
                 recomputes scores from transcriptions when different.
             scoring: engine for the recompute path (honours the caller's
-                backend and cache policy); defaults to a fresh engine for
+                cache policy); defaults to a fresh engine for
                 ``method`` with the shared pair-score cache.
         """
         mask = self.mask_for(kinds)

@@ -31,7 +31,7 @@ from repro.defenses.transforms import Transform, default_transform_suite
 from repro.ml.base import BinaryClassifier
 from repro.pipeline.cache import TranscriptionCache
 from repro.pipeline.engine import TranscriptionEngine
-from repro.similarity.engine import ScoringBackend, SimilarityEngine
+from repro.similarity.engine import SimilarityEngine
 from repro.similarity.scorer import SimilarityScorer
 
 
@@ -102,7 +102,7 @@ class TransformEnsembleDetector(MVPEarsDetector):
                  workers: int | None = None,
                  engine: TranscriptionEngine | None = None,
                  cache: TranscriptionCache | bool | None = True,
-                 scoring: SimilarityEngine | ScoringBackend | str | None = None,
+                 scoring: SimilarityEngine | None = None,
                  feature_engine=None):
         transforms = list(transforms) if transforms is not None else \
             default_transform_suite()

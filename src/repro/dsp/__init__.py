@@ -12,14 +12,12 @@ from repro.dsp.framing import (
     frame_signal,
     num_frames,
     overlap_add,
-    overlap_add_reference,
 )
 from repro.dsp.windows import hamming_window, hann_window
 from repro.dsp.mel import (
     hz_to_mel,
     mel_to_hz,
     mel_filterbank,
-    mel_filterbank_reference,
 )
 from repro.dsp.dct import dct_matrix
 from repro.dsp.mfcc import MfccConfig, MfccExtractor, MfccGradientTape
@@ -38,10 +36,7 @@ from repro.dsp.features import (
 from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.engine import (
     FeatureEngine,
-    feature_backend_names,
-    get_feature_backend,
     get_shared_feature_cache,
-    register_feature_backend,
     resolve_feature_cache,
 )
 
@@ -49,13 +44,11 @@ __all__ = [
     "frame_signal",
     "num_frames",
     "overlap_add",
-    "overlap_add_reference",
     "hamming_window",
     "hann_window",
     "hz_to_mel",
     "mel_to_hz",
     "mel_filterbank",
-    "mel_filterbank_reference",
     "dct_matrix",
     "MfccConfig",
     "MfccExtractor",
@@ -70,9 +63,6 @@ __all__ = [
     "LpcFeatureExtractor",
     "FeatureCache",
     "FeatureEngine",
-    "feature_backend_names",
-    "get_feature_backend",
     "get_shared_feature_cache",
-    "register_feature_backend",
     "resolve_feature_cache",
 ]

@@ -12,13 +12,11 @@ once, shares the matrix across suite members through a content-hash
 pipeline batches through the vectorized
 :meth:`~repro.dsp.features.FeatureExtractor.transform_batch` path.
 
-Like the similarity engine, the compute path is pluggable: the ``"fast"``
-backend stacks a batch's analysis frames and vectorizes the
-row-independent stages across the whole batch, the ``"reference"``
-backend is the seed library's per-clip loop, and the two are required to
-be ``==``-identical (pinned by ``tests/test_dsp_vectorized.py`` and the
-golden-fixture test).  Third-party backends can be registered under new
-names via :func:`register_feature_backend`.
+Single clips go through :meth:`~repro.dsp.features.FeatureExtractor.transform`;
+batches stack analysis frames across clips and run the row-independent
+stages once.  Both are ``==``-identical to the seed library's per-clip
+loop, which ``tests/oracles/`` keeps as the parity reference (pinned by
+``tests/test_dsp_vectorized.py`` and the golden-fixture test).
 """
 
 from __future__ import annotations
@@ -30,70 +28,6 @@ import numpy as np
 from repro.caching import CacheStats
 from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.features import FeatureExtractor
-
-
-class ReferenceFeatureBackend:
-    """Per-clip front-end computation (the seed library's path)."""
-
-    name = "reference"
-
-    def features(self, extractor: FeatureExtractor, samples: np.ndarray,
-                 sample_rate: int) -> np.ndarray:
-        return extractor.transform(samples)
-
-    def features_batch(self, extractor: FeatureExtractor,
-                       batch: list[np.ndarray]) -> list[np.ndarray]:
-        return [extractor.transform(samples) for samples in batch]
-
-
-class FastFeatureBackend:
-    """Batch-vectorized front-end computation.
-
-    Single clips go through the same code as the reference (the
-    vectorized kernels are already inside ``transform``); batches stack
-    analysis frames across clips and run the row-independent stages
-    once (see :meth:`FeatureExtractor.transform_batch`).  Results are
-    bit-identical to the reference backend.
-    """
-
-    name = "fast"
-
-    def features(self, extractor: FeatureExtractor, samples: np.ndarray,
-                 sample_rate: int) -> np.ndarray:
-        return extractor.transform(samples)
-
-    def features_batch(self, extractor: FeatureExtractor,
-                       batch: list[np.ndarray]) -> list[np.ndarray]:
-        return extractor.transform_batch(batch)
-
-
-_BACKENDS: dict[str, object] = {}
-
-
-def register_feature_backend(name: str, backend) -> None:
-    """Register a feature backend under ``name`` (overwrites existing)."""
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _BACKENDS[name] = backend
-
-
-def get_feature_backend(name: str):
-    """Look up a registered feature backend by name."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
-        raise KeyError(f"unknown feature backend {name!r} "
-                       f"(registered: {known})") from None
-
-
-def feature_backend_names() -> tuple[str, ...]:
-    """Names of the registered feature backends, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-register_feature_backend("reference", ReferenceFeatureBackend())
-register_feature_backend("fast", FastFeatureBackend())
 
 
 @lru_cache(maxsize=1)
@@ -127,8 +61,6 @@ class FeatureEngine:
     """Computes front-end features once per (clip, front-end configuration).
 
     Args:
-        backend: compute backend — an instance or a registry name
-            (``"fast"``, the default, or ``"reference"``).
         cache: feature cache policy — a
             :class:`~repro.dsp.feature_cache.FeatureCache` instance,
             ``True`` for the process-wide shared cache (default), or
@@ -139,9 +71,7 @@ class FeatureEngine:
     never cached, so a tag collision can not serve wrong features.
     """
 
-    def __init__(self, backend="fast", cache: FeatureCache | bool | None = True):
-        self.backend = (get_feature_backend(backend)
-                        if isinstance(backend, str) else backend)
+    def __init__(self, cache: FeatureCache | bool | None = True):
         self.cache = resolve_feature_cache(cache)
 
     @property
@@ -156,12 +86,12 @@ class FeatureEngine:
         """Feature matrix of one clip, served from the cache when possible."""
         tag = extractor.cache_tag
         if self.cache is None or tag is None:
-            return self.backend.features(extractor, samples, sample_rate)
+            return extractor.transform(samples)
         key = FeatureCache.key_for(tag, samples, sample_rate)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        value = self.backend.features(extractor, samples, sample_rate)
+        value = extractor.transform(samples)
         self.cache.put(key, value)
         return value
 
@@ -169,8 +99,8 @@ class FeatureEngine:
                 clips: list[tuple[np.ndarray, int]]) -> int:
         """Fill the cache for a batch of ``(samples, sample_rate)`` clips.
 
-        Missing clips are computed through the backend's *batched* path
-        (one stacked front-end pass); clips already cached are skipped.
+        Missing clips are computed through the *batched* path (one
+        stacked front-end pass); clips already cached are skipped.
         Returns the number of clips computed.
         """
         tag = extractor.cache_tag
@@ -182,8 +112,7 @@ class FeatureEngine:
             if key not in missing and self.cache.get(key) is None:
                 missing[key] = samples
         if missing:
-            values = self.backend.features_batch(extractor,
-                                                 list(missing.values()))
+            values = extractor.transform_batch(list(missing.values()))
             for key, value in zip(missing, values):
                 self.cache.put(key, value)
         return len(missing)

@@ -63,9 +63,10 @@ def overlap_add(frames: np.ndarray, hop_length: int,
     waveform.  Overlapping regions are summed (not averaged): the caller is
     expected to normalise if needed.
 
-    Vectorized scatter-add; bit-identical to :func:`overlap_add_reference`
-    (``np.add.at`` accumulates repeated indices in row-major order, which
-    is exactly the reference's frame-by-frame order).
+    Vectorized scatter-add; bit-identical to the seed library's
+    frame-by-frame loop kept in ``tests/oracles/`` (``np.add.at``
+    accumulates repeated indices in row-major order, which is exactly
+    that loop's order).
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -81,22 +82,3 @@ def overlap_add(frames: np.ndarray, hop_length: int,
         np.add.at(signal, indices.ravel(), frames.ravel())
     return signal[:n_samples]
 
-
-def overlap_add_reference(frames: np.ndarray, hop_length: int,
-                          n_samples: int | None = None) -> np.ndarray:
-    """Per-frame Python-loop overlap-add (the seed library's path).
-
-    Kept as the parity reference for :func:`overlap_add`.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise ValueError("overlap_add expects a 2-D frame matrix")
-    count, frame_length = frames.shape
-    total = frame_length + hop_length * max(0, count - 1) if count else 0
-    if n_samples is None:
-        n_samples = total
-    signal = np.zeros(max(n_samples, total))
-    for i in range(count):
-        start = i * hop_length
-        signal[start:start + frame_length] += frames[i]
-    return signal[:n_samples]

@@ -38,8 +38,9 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int,
                    f_min: float = 0.0, f_max: float | None = None) -> np.ndarray:
     """Triangular mel filterbank matrix of shape ``(n_filters, n_fft // 2 + 1)``.
 
-    Vectorized construction; bit-identical to
-    :func:`mel_filterbank_reference` (pinned by ``tests/test_dsp_vectorized``).
+    Vectorized construction; bit-identical to the seed library's
+    per-filter loop kept in ``tests/oracles/`` (pinned by
+    ``tests/test_dsp_vectorized``).
 
     Args:
         n_filters: number of triangular filters.
@@ -72,29 +73,3 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int,
     bank[np.arange(n_filters), centers] = 1.0
     return bank
 
-
-@lru_cache(maxsize=32)
-def mel_filterbank_reference(n_filters: int, n_fft: int, sample_rate: int,
-                             f_min: float = 0.0,
-                             f_max: float | None = None) -> np.ndarray:
-    """Per-filter scalar-loop filterbank construction (the seed library's path).
-
-    Kept as the parity reference for :func:`mel_filterbank`; same
-    signature, same matrix, bit for bit.
-    """
-    bin_points = _band_edges(n_filters, n_fft, sample_rate, f_min, f_max)
-    n_bins = n_fft // 2 + 1
-
-    bank = np.zeros((n_filters, n_bins))
-    for i in range(n_filters):
-        left, center, right = bin_points[i], bin_points[i + 1], bin_points[i + 2]
-        if center == left:
-            center = min(left + 1, n_bins - 1)
-        if right == center:
-            right = min(center + 1, n_bins - 1)
-        for k in range(left, center):
-            bank[i, k] = (k - left) / max(1, center - left)
-        for k in range(center, right + 1):
-            bank[i, k] = (right - k) / max(1, right - center)
-        bank[i, center] = 1.0
-    return bank

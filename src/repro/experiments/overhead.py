@@ -11,8 +11,7 @@ The measurement routes through :class:`~repro.pipeline.detection
 worker pool and per-stage wall-clock timing comes straight from the
 pipeline.  Private, empty transcription *and* pair-score caches are used
 so every number reflects real decode and scoring work; pass ``workers=0``
-to reproduce the original sequential timing path and
-``scoring_backend="reference"`` to time the original scalar scoring path.
+to reproduce the original sequential timing path.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from repro.specs import (
 def run_overhead_measurement(bundle: DatasetBundle, dataset: ScoredDataset,
                              max_samples: int = 24,
                              classifier_name: str = "SVM",
-                             workers: int | None = None,
-                             scoring_backend: str = "fast") -> ExperimentTable:
+                             workers: int | None = None) -> ExperimentTable:
     """Measure per-component detection overhead on DS0+{DS1}.
 
     Args:
@@ -54,16 +52,13 @@ def run_overhead_measurement(bundle: DatasetBundle, dataset: ScoredDataset,
         classifier_name: classifier registry name.
         workers: engine pool size (``0`` = sequential path, ``None`` =
             default parallel fan-out).
-        scoring_backend: similarity backend to time (``"fast"`` — the
-            default everywhere — or ``"reference"``, the paper-faithful
-            scalar path).
     """
     # Private caches: overhead numbers must reflect real decoding and
     # scoring, not hits left behind by earlier experiments in the same
     # process.  The system under measurement, as a declarative spec:
     spec = DetectorSpec(
         suite=SuiteSpec(target=ASRSpec("DS0"), auxiliaries=(ASRSpec("DS1"),)),
-        scoring=ScoringSpec(backend=scoring_backend, cache="private"),
+        scoring=ScoringSpec(cache="private"),
         classifier=ClassifierSpec(classifier_name),
         pipeline=PipelineSpec(workers=workers, cache="private"))
     detector = build(spec, fit=False)
@@ -122,5 +117,4 @@ class OverheadExperiment(Experiment):
         return run_overhead_measurement(
             self.bundle(), self.dataset(),
             max_samples=int(self.param("max_samples")),
-            classifier_name=self.classifier_name,
-            scoring_backend=self.spec.detector.scoring.backend).rows
+            classifier_name=self.classifier_name).rows

@@ -327,7 +327,7 @@ class TranscriptionEngine:
 
         Clips whose transcription is already cached are skipped — their
         front end will never run.  Each supporting member's missing clips
-        go through the backend's batched front end in one stacked pass.
+        go through the batched front end in one stacked pass.
         """
         if self.feature_engine is None:
             return

@@ -151,6 +151,10 @@ class ServiceStats:
     retry-once policy).  ``cache_refresh_failures`` counts the results
     whose worker failed to merge the shared caches before serving their
     batch (the batch is still served; the worker logs a warning).
+    ``batch_fallbacks`` counts the results that were detected one
+    request at a time because their tenant batch's ``detect_batch``
+    raised (the worker logs a warning naming the tenant, the batch size
+    and the exception).
     """
 
     submitted: int = 0
@@ -164,6 +168,7 @@ class ServiceStats:
     ipc_bytes_out: int = 0
     ipc_bytes_in: int = 0
     cache_refresh_failures: int = 0
+    batch_fallbacks: int = 0
 
     def snapshot(self) -> "ServiceStats":
         return replace(self)
@@ -318,18 +323,22 @@ def _run_batch(worker_id: int, pipelines, batch, result_conn,
                     "scores": [float(s) for s in result.scores],
                     "target_transcription": result.target_transcription,
                 }))
-        except Exception:
+        except Exception as batch_exc:
             # Isolate the failure: re-run the batch one request at a
             # time so only the offending clip reports an error.
+            logger.warning("worker %d: tenant %r batch of %d failed in "
+                           "detect_batch (%s: %s); detecting each request "
+                           "on its own", worker_id, tenant, len(items),
+                           type(batch_exc).__name__, batch_exc)
             payloads = []
             for key, audio in items:
                 try:
-                    payloads.append((key, _detect_one(pipeline, audio)))
+                    payload = _detect_one(pipeline, audio)
                 except Exception as exc:
-                    payloads.append((key, {
-                        "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }))
+                    payload = {"ok": False,
+                               "error": f"{type(exc).__name__}: {exc}"}
+                payload["batch_fallback"] = True
+                payloads.append((key, payload))
         for key, payload in payloads:
             post(key, payload)
 
@@ -816,6 +825,8 @@ class DetectionService:
             self.stats.ipc_bytes_in += self._result_nbytes(payload)
             if payload.get("cache_refresh_failed"):
                 self.stats.cache_refresh_failures += 1
+            if payload.get("batch_fallback"):
+                self.stats.batch_fallbacks += 1
             request = self._requests.pop(key, None)
             for inflight in self._inflight.values():
                 inflight.pop(key, None)

@@ -5,12 +5,12 @@ phonetic encodings (Soundex, Metaphone) and string similarity measures
 (Jaccard, cosine, Jaro, Jaro-Winkler, Levenshtein ratio), plus the six
 combined scorers compared in Table III of the paper.
 
-Batch scoring lives in :mod:`repro.similarity.engine`: a pluggable
-:class:`ScoringBackend` registry (the scalar ``"reference"`` path and the
-encode-once ``"fast"`` path over the kernels in
-:mod:`repro.similarity.kernels`, bit-identical by construction and by
-test) behind a :class:`SimilarityEngine` whose pair scores are memoised
-in a :class:`PairScoreCache` (see ``docs/SCORING.md``).
+Batch scoring lives in :mod:`repro.similarity.engine`: a
+:class:`SimilarityEngine` scores each distinct text pair once over the
+encode-once kernels in :mod:`repro.similarity.kernels` (bit-identical to
+the scalar :meth:`SimilarityScorer.score` path, which ``tests/oracles/``
+keeps as the parity reference) and memoises pair scores in a
+:class:`PairScoreCache` (see ``docs/SCORING.md``).
 """
 
 from repro.similarity.phonetic import soundex, metaphone, phonetic_encode
@@ -28,18 +28,11 @@ from repro.similarity.scorer import (
 )
 from repro.similarity.score_cache import PairScoreCache
 from repro.similarity.engine import (
-    DEFAULT_SCORING_BACKEND,
-    FastScoringBackend,
-    ReferenceScoringBackend,
     ScoreBatchReport,
-    ScoringBackend,
     SimilarityEngine,
     default_engine,
-    get_scoring_backend,
     get_shared_score_cache,
-    register_scoring_backend,
     resolve_score_cache,
-    scoring_backend_names,
 )
 
 __all__ = [
@@ -55,16 +48,9 @@ __all__ = [
     "SimilarityScorer",
     "get_scorer",
     "PairScoreCache",
-    "DEFAULT_SCORING_BACKEND",
-    "FastScoringBackend",
-    "ReferenceScoringBackend",
     "ScoreBatchReport",
-    "ScoringBackend",
     "SimilarityEngine",
     "default_engine",
-    "get_scoring_backend",
     "get_shared_score_cache",
-    "register_scoring_backend",
     "resolve_score_cache",
-    "scoring_backend_names",
 ]

@@ -4,20 +4,15 @@ The paper's detection cost is recognition plus one similarity score per
 auxiliary (Section V's overhead study).  PR 1 gave recognition a
 batch-first execution layer (worker-pool fan-out + content-hash cache);
 this module gives the scoring stage the same treatment:
-
-* :class:`ScoringBackend` — the pluggable kernel layer.  ``"reference"``
-  wraps the original scalar :meth:`SimilarityScorer.score` path
-  unchanged; ``"fast"`` splits scoring into an *encode* phase (normalise
-  + optional phonetic encoding, run once per distinct text) and a
-  *metric* phase over the fast kernels in
-  :mod:`repro.similarity.kernels`.  Both produce bit-identical score
-  vectors — pinned by property tests — so the fast backend is the
-  default everywhere.
-* :class:`SimilarityEngine` — batch APIs (:meth:`score_pairs`,
-  :meth:`score_texts`, :meth:`score_suites`) in front of a backend, with
-  pair scores memoised in a
-  :class:`~repro.similarity.score_cache.PairScoreCache` (shared
-  process-wide by default, mirroring the transcription cache).
+:class:`SimilarityEngine` puts batch APIs (``score_pairs``,
+``score_texts``, ``score_suites``) in front of encode-once scoring —
+normalise + optional phonetic encoding once per distinct text, then the
+metric kernels in :mod:`repro.similarity.kernels` — with pair scores
+memoised in a
+:class:`~repro.similarity.score_cache.PairScoreCache` (shared
+process-wide by default, mirroring the transcription cache).  Scores are
+bit-identical to the scalar :meth:`SimilarityScorer.score` path, which
+``tests/oracles/`` keeps as the parity reference.
 
 Every scoring call site in the library — detector, batched pipeline,
 streaming windows, micro-batched serving, transform ensembles, the
@@ -31,12 +26,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.caching import CacheStats
-from repro.errors import UnknownComponentError
 from repro.similarity.kernels import (
     cosine_from_counts,
     jaccard_from_sets,
@@ -52,67 +46,19 @@ from repro.text.normalize import normalize_text, tokenize
 #: Environment variable naming an on-disk JSON store for the shared cache.
 SCORE_CACHE_ENV = "REPRO_SCORE_CACHE"
 
-#: The backend used when none is requested.
-DEFAULT_SCORING_BACKEND = "fast"
-
 #: Metrics whose kernels consume token statistics rather than characters.
 _TOKEN_METRICS = frozenset({"Cosine", "Jaccard"})
 
 
-# ------------------------------------------------------------------ backends
-@runtime_checkable
-class ScoringBackend(Protocol):
-    """A similarity kernel implementation.
-
-    A backend turns ``(scorer, text pairs)`` into a float64 score array.
-    Implementations must be stateless across calls (engines may share one
-    instance between threads).
-
-    Cache namespacing: pair scores are cached under the backend's
-    ``cache_namespace``.  The built-in backends set it to ``""`` — the
-    shared parity namespace — because they return values bit-identical
-    to the reference scalar path ``scorer.score(a, b)`` for every
-    registered scorer, so their entries are interchangeable.  A custom
-    backend without the attribute is namespaced by its ``name``, so an
-    approximate backend can never poison the shared cache; set
-    ``cache_namespace = ""`` only if your backend upholds the
-    bit-identity contract.
-    """
-
-    name: str
-
-    def score_pairs(self, scorer: SimilarityScorer,
-                    pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-        """Scores of ``pairs`` under ``scorer``, shape ``(len(pairs),)``."""
-        ...
-
-
-class ReferenceScoringBackend:
-    """The original scalar path: one ``scorer.score`` call per pair.
-
-    Kept as the ground truth the fast backend is pinned against, and as
-    the baseline of the similarity speed gate
-    (``benchmarks/test_similarity_bench.py``).
-    """
-
-    name = "reference"
-    cache_namespace = ""        # ground truth of the parity namespace
-
-    def score_pairs(self, scorer: SimilarityScorer,
-                    pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-        return np.array([scorer.score(text_a, text_b)
-                         for text_a, text_b in pairs], dtype=np.float64)
-
-
+# ------------------------------------------------------------------- kernels
 @dataclass(frozen=True)
 class _EncodedText:
     """One text after the encode phase, ready for the metric kernels.
 
-    ``chars`` is exactly the string the reference metric would see
+    ``chars`` is exactly the string the scalar metric would see
     (normalised, optionally phonetic-encoded); the token fields are
-    derived from it with the same ``tokenize`` the reference token
-    metrics call internally, so kernel inputs are identical by
-    construction.
+    derived from it with the same ``tokenize`` the scalar token metrics
+    call internally, so kernel inputs are identical by construction.
     """
 
     chars: str
@@ -121,61 +67,16 @@ class _EncodedText:
     token_set: frozenset[str] | None = None
 
 
-class FastScoringBackend:
-    """Encode-once scoring over the fast kernels.
-
-    Within one :meth:`score_pairs` call every distinct text is encoded
-    exactly once (the reference path re-normalises and re-phonetic-encodes
-    the target transcription once per auxiliary) and every distinct pair
-    is scored exactly once.  The metric kernels are the early-exit /
-    banded / pruned implementations in :mod:`repro.similarity.kernels`,
-    each pinned bit-identical to its reference metric.
-    """
-
-    name = "fast"
-    cache_namespace = ""        # bit-identical to reference (pinned by tests)
-
-    def score_pairs(self, scorer: SimilarityScorer,
-                    pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-        kernel = self._kernel_for(scorer.metric_name)
-        if kernel is None:
-            # Unknown metric (a user-registered scorer): fall back to the
-            # scalar path rather than guess at kernel semantics.
-            return ReferenceScoringBackend().score_pairs(scorer, pairs)
-        encoded: dict[str, _EncodedText] = {}
-        memo: dict[tuple[str, str], float] = {}
-        out = np.empty(len(pairs), dtype=np.float64)
-        for index, (text_a, text_b) in enumerate(pairs):
-            value = memo.get((text_a, text_b))
-            if value is None:
-                enc_a = encoded.get(text_a)
-                if enc_a is None:
-                    enc_a = encoded[text_a] = self._encode(scorer, text_a)
-                enc_b = encoded.get(text_b)
-                if enc_b is None:
-                    enc_b = encoded[text_b] = self._encode(scorer, text_b)
-                # The same clamp the reference scorer applies.
-                value = float(min(1.0, max(0.0, kernel(enc_a, enc_b))))
-                memo[(text_a, text_b)] = value
-            out[index] = value
-        return out
-
-    # ------------------------------------------------------------- internals
-    @staticmethod
-    def _encode(scorer: SimilarityScorer, text: str) -> _EncodedText:
-        chars = normalize_text(text)
-        if scorer.use_phonetic_encoding:
-            chars = phonetic_encode(chars)
-        if scorer.metric_name not in _TOKEN_METRICS:
-            return _EncodedText(chars=chars)
-        tokens = tokenize(chars)
-        counts, norm = token_counts(tokens)
-        return _EncodedText(chars=chars, counts=counts, norm=norm,
-                            token_set=frozenset(counts))
-
-    @staticmethod
-    def _kernel_for(metric_name: str) -> Callable | None:
-        return _FAST_KERNELS.get(metric_name)
+def _encode(scorer: SimilarityScorer, text: str) -> _EncodedText:
+    chars = normalize_text(text)
+    if scorer.use_phonetic_encoding:
+        chars = phonetic_encode(chars)
+    if scorer.metric_name not in _TOKEN_METRICS:
+        return _EncodedText(chars=chars)
+    tokens = tokenize(chars)
+    counts, norm = token_counts(tokens)
+    return _EncodedText(chars=chars, counts=counts, norm=norm,
+                        token_set=frozenset(counts))
 
 
 def _cosine_kernel(a: _EncodedText, b: _EncodedText) -> float:
@@ -194,45 +95,12 @@ def _levenshtein_kernel(a: _EncodedText, b: _EncodedText) -> float:
     return levenshtein_ratio_fast(a.chars, b.chars)
 
 
-_FAST_KERNELS: dict[str, Callable] = {
+_KERNELS: dict[str, Callable] = {
     "Cosine": _cosine_kernel,
     "Jaccard": _jaccard_kernel,
     "JaroWinkler": _jaro_winkler_kernel,
     "Levenshtein": _levenshtein_kernel,
 }
-
-
-# ------------------------------------------------------------------ registry
-_BACKEND_FACTORIES: dict[str, Callable[[], ScoringBackend]] = {
-    "reference": ReferenceScoringBackend,
-    "fast": FastScoringBackend,
-}
-
-
-def register_scoring_backend(name: str,
-                             factory: Callable[[], ScoringBackend]) -> None:
-    """Register a backend factory under ``name`` (overwrites allowed)."""
-    _BACKEND_FACTORIES[name] = factory
-    _backend_instance.cache_clear()
-
-
-def scoring_backend_names() -> tuple[str, ...]:
-    """Names of every registered scoring backend."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-@lru_cache(maxsize=None)
-def _backend_instance(name: str) -> ScoringBackend:
-    return _BACKEND_FACTORIES[name]()
-
-
-def get_scoring_backend(name: str = DEFAULT_SCORING_BACKEND) -> ScoringBackend:
-    """Return the (shared, stateless) backend registered under ``name``."""
-    try:
-        return _backend_instance(name)
-    except KeyError:
-        raise UnknownComponentError("scoring backend", name,
-                                    scoring_backend_names()) from None
 
 
 # ------------------------------------------------------------- shared cache
@@ -285,14 +153,11 @@ class ScoreBatchReport:
 
 
 class SimilarityEngine:
-    """Batch similarity scoring through a backend and a pair-score cache.
+    """Batch similarity scoring in front of a pair-score cache.
 
     Args:
         scorer: a :class:`SimilarityScorer`, a registry name, or ``None``
             for the paper's default (``PE_JaroWinkler``).
-        backend: a :class:`ScoringBackend`, a registry name
-            (``"fast"``/``"reference"``), or ``None`` for the default
-            fast backend.
         cache: ``True`` (default) shares the process-wide cache from
             :func:`get_shared_score_cache`; ``False``/``None`` disables
             caching; a :class:`PairScoreCache` instance is used as given.
@@ -302,7 +167,6 @@ class SimilarityEngine:
     """
 
     def __init__(self, scorer: SimilarityScorer | str | None = None,
-                 backend: ScoringBackend | str | None = None,
                  cache: PairScoreCache | bool | None = True,
                  cache_path: str | None = None):
         if scorer is None:
@@ -310,11 +174,6 @@ class SimilarityEngine:
         elif isinstance(scorer, str):
             scorer = get_scorer(scorer)
         self.scorer = scorer
-        if backend is None:
-            backend = get_scoring_backend()
-        elif isinstance(backend, str):
-            backend = get_scoring_backend(backend)
-        self.backend = backend
         if isinstance(cache, PairScoreCache):
             self.cache: PairScoreCache | None = cache
         elif cache:
@@ -358,14 +217,13 @@ class SimilarityEngine:
         if not pairs:
             return np.empty(0, dtype=np.float64), ScoreBatchReport()
         if self.cache is None:
-            values = self.backend.score_pairs(self.scorer, pairs)
-            return (np.asarray(values, dtype=np.float64),
+            return (self._compute(pairs),
                     ScoreBatchReport(cache_misses=len(pairs)))
-        tag = self._cache_tag
+        tag = self.scorer.cache_tag
         out = np.empty(len(pairs), dtype=np.float64)
         # Fingerprints are memoised per distinct text (a suite batch hashes
         # each target text once, not once per auxiliary), and missed pairs
-        # are deduplicated before reaching the backend; the key format is
+        # are deduplicated before they are computed; the key format is
         # PairScoreCache.key_for's.
         fingerprints: dict[str, str] = {}
         pending: dict[str, list[int]] = {}
@@ -393,24 +251,46 @@ class SimilarityEngine:
                 out[index] = value
                 hits += 1
         if miss_pairs:
-            values = self.backend.score_pairs(self.scorer, miss_pairs)
+            values = self._compute(miss_pairs)
             for (key, indices), value in zip(pending.items(), values):
                 out[indices] = value
                 self.cache.put(key, float(value))
         return out, ScoreBatchReport(cache_hits=hits, cache_misses=misses)
 
-    @property
-    def _cache_tag(self) -> str:
-        """The scorer tag, namespaced by non-parity backends.
+    def _compute(self, pairs: list[tuple[str, str]]) -> np.ndarray:
+        """Scores of ``pairs``, bypassing the cache.
 
-        Backends that do not declare ``cache_namespace`` are isolated
-        under their own name, so an approximate custom backend cannot
-        poison entries the bit-identical backends share.
+        Every distinct text is encoded exactly once (the scalar path
+        re-normalises and re-phonetic-encodes the target transcription
+        once per auxiliary) and every distinct pair is scored exactly
+        once.  The metric kernels are the early-exit / banded / pruned
+        implementations in :mod:`repro.similarity.kernels`, each pinned
+        bit-identical to its scalar metric.
         """
-        namespace = getattr(self.backend, "cache_namespace", self.backend.name)
-        if not namespace:
-            return self.scorer.cache_tag
-        return f"{namespace}|{self.scorer.cache_tag}"
+        scorer = self.scorer
+        kernel = _KERNELS.get(scorer.metric_name)
+        if kernel is None:
+            # Unknown metric (a user-registered scorer): use its scalar path
+            # rather than guess at kernel semantics.
+            return np.array([scorer.score(text_a, text_b)
+                             for text_a, text_b in pairs], dtype=np.float64)
+        encoded: dict[str, _EncodedText] = {}
+        memo: dict[tuple[str, str], float] = {}
+        out = np.empty(len(pairs), dtype=np.float64)
+        for index, (text_a, text_b) in enumerate(pairs):
+            value = memo.get((text_a, text_b))
+            if value is None:
+                enc_a = encoded.get(text_a)
+                if enc_a is None:
+                    enc_a = encoded[text_a] = _encode(scorer, text_a)
+                enc_b = encoded.get(text_b)
+                if enc_b is None:
+                    enc_b = encoded[text_b] = _encode(scorer, text_b)
+                # The same clamp the scalar scorer applies.
+                value = float(min(1.0, max(0.0, kernel(enc_a, enc_b))))
+                memo[(text_a, text_b)] = value
+            out[index] = value
+        return out
 
     def score_texts(self, target_text: str,
                     auxiliary_texts: Sequence[str]) -> np.ndarray:
@@ -450,10 +330,10 @@ class SimilarityEngine:
 
 
 def default_engine(scorer: SimilarityScorer | str | None = None) -> SimilarityEngine:
-    """An engine with the default backend and the shared pair-score cache.
+    """An engine with the shared pair-score cache.
 
-    Engines are cheap value-like objects (the backend instance and the
-    shared cache are process-wide singletons), so call sites that are not
+    Engines are cheap value-like objects (the shared cache is a
+    process-wide singleton), so call sites that are not
     handed an explicit engine construct one on the fly.
     """
     return SimilarityEngine(scorer=scorer)

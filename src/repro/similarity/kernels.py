@@ -18,7 +18,7 @@ work the reference does redundantly:
   first-unmatched-in-window choice is preserved exactly.
 * :func:`cosine_from_counts` / :func:`jaccard_from_sets` — operate on
   pre-computed token count dicts / token sets (built once per distinct
-  text by the fast backend, not once per pair), with a numpy path for
+  text by the scoring engine, not once per pair), with a numpy path for
   long token lists.  All intermediate sums are exact integers, so the
   final division matches the reference bit for bit.
 """
@@ -217,7 +217,7 @@ def jaccard_from_sets(set_a: frozenset[str], set_b: frozenset[str]) -> float:
     Intersection and union sizes are exact integers, so the single final
     division reproduces the reference float exactly.  (The win over the
     reference is that the sets are built once per distinct text by the
-    backend, not once per pair.)
+    scoring engine, not once per pair.)
     """
     if not set_a and not set_b:
         return 1.0

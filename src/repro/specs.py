@@ -16,10 +16,10 @@ The tree::
     │   ├── target:      ASRSpec    # registry name (+ optional transform)
     │   └── auxiliaries: (ASRSpec, ...)
     │                     └── transform: TransformSpec | None
-    ├── scoring:    ScoringSpec      # method, backend, pair-score cache
+    ├── scoring:    ScoringSpec      # method, pair-score cache
     ├── classifier: ClassifierSpec   # registry name
     ├── pipeline:   PipelineSpec     # workers, transcription cache
-    │   └── features:    FeaturesSpec  # front-end backend + feature cache
+    │   └── features:    FeaturesSpec  # feature engine on/off + cache
     ├── serving:    ServingSpec      # stream windows, micro-batching
     └── training:   TrainingSpec     # scale preset, seed, data source
 
@@ -260,11 +260,6 @@ def _default_scorer() -> str:
     return DEFAULT_METHOD
 
 
-def _default_backend() -> str:
-    from repro.similarity.engine import DEFAULT_SCORING_BACKEND
-    return DEFAULT_SCORING_BACKEND
-
-
 @dataclass(frozen=True)
 class ScoringSpec:
     """The similarity scoring stage.
@@ -272,42 +267,33 @@ class ScoringSpec:
     Attributes:
         scorer: similarity method name (Table III; default the paper's
             ``PE_JaroWinkler``).
-        backend: scoring backend registry name (``"fast"`` /
-            ``"reference"`` / a registered plugin).
         cache: pair-score cache policy — ``"shared"``, ``"private"``,
             ``"off"`` or an on-disk JSON path (see
             :func:`repro.similarity.engine.resolve_score_cache`).
     """
 
     scorer: str = field(default_factory=_default_scorer)
-    backend: str = field(default_factory=_default_backend)
     cache: str = "shared"
 
     def to_dict(self) -> dict:
-        return {"scorer": self.scorer, "backend": self.backend,
-                "cache": self.cache}
+        return {"scorer": self.scorer, "cache": self.cache}
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "scoring") -> "ScoringSpec":
         data = _expect_mapping(data, path)
         _check_keys(data, cls, path)
         kwargs = {key: _coerce(data[key], str, f"{path}.{key}")
-                  for key in ("scorer", "backend", "cache") if key in data}
+                  for key in ("scorer", "cache") if key in data}
         return cls(**kwargs)
 
     def problems(self, path: str = "scoring") -> list[str]:
         from repro.caching import check_cache_policy
-        from repro.similarity.engine import scoring_backend_names
         from repro.similarity.scorer import available_method_names
         out = []
         if self.scorer not in available_method_names():
             out.append(f"{path}.scorer: unknown similarity method "
                        f"{self.scorer!r}; available: "
                        f"{list(available_method_names())}")
-        if self.backend not in scoring_backend_names():
-            out.append(f"{path}.backend: unknown scoring backend "
-                       f"{self.backend!r}; available: "
-                       f"{list(scoring_backend_names())}")
         try:
             # Policy check only — validation must not read cache files.
             check_cache_policy(self.cache, "score-cache policy")
@@ -346,16 +332,19 @@ class ClassifierSpec:
 
 
 # ------------------------------------------------------------------ pipeline
+#: Allowed :attr:`FeaturesSpec.backend` values.
+FEATURE_BACKENDS = ("off", "fast")
+
+
 @dataclass(frozen=True)
 class FeaturesSpec:
-    """The front-end feature stage: compute backend and feature cache.
+    """The front-end feature stage: feature engine on or off, and its cache.
 
     Attributes:
-        backend: feature backend registry name (``"fast"`` — batch
-            vectorized, the default — / ``"reference"`` — the per-clip
-            seed path — / a registered plugin), or ``"off"`` to disable
-            the shared :class:`~repro.dsp.engine.FeatureEngine` entirely
-            so every ASR runs its own front end from raw samples.
+        backend: ``"fast"`` (the default) shares one batch-vectorized
+            :class:`~repro.dsp.engine.FeatureEngine` across the suite;
+            ``"off"`` disables it entirely so every ASR runs its own
+            front end from raw samples.
         cache: feature cache policy — ``"shared"``, ``"private"``,
             ``"off"`` or an on-disk ``.npz`` path (see
             :func:`repro.dsp.engine.resolve_feature_cache`).
@@ -378,13 +367,11 @@ class FeaturesSpec:
 
     def problems(self, path: str = "pipeline.features") -> list[str]:
         from repro.caching import check_cache_policy
-        from repro.dsp.engine import feature_backend_names
         out = []
-        if self.backend != "off" \
-                and self.backend not in feature_backend_names():
+        if self.backend not in FEATURE_BACKENDS:
             out.append(f"{path}.backend: unknown feature backend "
                        f"{self.backend!r}; available: "
-                       f"{['off', *feature_backend_names()]}")
+                       f"{list(FEATURE_BACKENDS)}")
         try:
             # Policy check only — validation must not read cache files.
             check_cache_policy(self.cache, "feature-cache policy",
@@ -596,7 +583,6 @@ ENV_OVERLAYS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "REPRO_FEATURE_CACHE": ("pipeline.features.cache", str),
     "REPRO_SCORE_CACHE": ("scoring.cache", str),
     "REPRO_SCORER": ("scoring.scorer", str),
-    "REPRO_SCORING_BACKEND": ("scoring.backend", str),
     "REPRO_CLASSIFIER": ("classifier.name", str),
     "REPRO_SERVE_WORKERS": ("serving.workers", int),
     "REPRO_SERVE_QUEUE": ("serving.queue_depth", int),
@@ -635,7 +621,6 @@ class DetectorSpec:
                 defense: str = "multi-asr",
                 transforms: Any = None,
                 scorer: str | None = None,
-                scoring_backend: str | None = None,
                 score_cache: str = "shared") -> "DetectorSpec":
         """The spec equivalent of the legacy ``default_detector`` kwargs.
 
@@ -665,8 +650,6 @@ class DetectorSpec:
                             auxiliaries=tuple(members)),
             scoring=ScoringSpec(
                 scorer=scorer if scorer is not None else _default_scorer(),
-                backend=(scoring_backend if scoring_backend is not None
-                         else _default_backend()),
                 cache=score_cache),
             classifier=ClassifierSpec(classifier),
             pipeline=PipelineSpec(workers=workers, cache=cache),
@@ -760,9 +743,9 @@ class DetectorSpec:
     def with_value(self, dotted: str, value: Any) -> "DetectorSpec":
         """A copy with the field at ``dotted`` path replaced.
 
-        ``spec.with_value("scoring.backend", "reference")`` is the
+        ``spec.with_value("scoring.scorer", "PE_Jaccard")`` is the
         programmatic form of one flag/env overlay.  Paths may descend
-        any number of levels (``"pipeline.features.backend"``).
+        any number of levels (``"pipeline.features.cache"``).
         """
         return _replace_path(self, dotted, value)
 
@@ -832,7 +815,7 @@ class ExperimentSpec:
             declared defaults (e.g. ``{"n_splits": 3}``).
         detector: :class:`DetectorSpec` overlay consulted by experiments
             that build detectors or classifiers (``classifier.name``,
-            ``scoring.scorer``, ``scoring.backend``, ...); sweeps vary
+            ``scoring.scorer``, ``scoring.cache``, ...); sweeps vary
             its dotted paths per grid point.
     """
 

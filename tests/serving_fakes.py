@@ -19,9 +19,21 @@ import numpy as np
 
 from repro.audio.waveform import Waveform
 from repro.pipeline.detection import DetectionPipeline
+from repro.serving.arena import SEGMENT_PREFIX, list_arena_segments
 
 SR = 16_000
 _T = np.linspace(0.0, 0.25, 4000, endpoint=False)
+
+
+def own_arena_segments() -> list[str]:
+    """Live ``/dev/shm`` arena segments created by this process.
+
+    Arena names embed the creating pid, so another live arena on the
+    host (a second test session, a running ``repro serve``) is not
+    counted against the service under test.
+    """
+    prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    return [name for name in list_arena_segments() if name.startswith(prefix)]
 
 
 def make_clip(meta: dict | None = None, freq: float = 220.0) -> Waveform:

@@ -116,18 +116,6 @@ def test_missing_wav_is_a_user_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_screen_scoring_backends_agree(wav_paths, capsys):
-    runs = {}
-    for backend in ("fast", "reference"):
-        code = main(["screen", wav_paths[0], "--scale", "tiny",
-                     "--scoring-backend", backend, "--score-cache", "private",
-                     "--json"])
-        assert code in (0, 1)
-        runs[backend] = json.loads(capsys.readouterr().out)["results"][0]
-    assert runs["fast"]["scores"] == runs["reference"]["scores"]
-    assert runs["fast"]["is_adversarial"] == runs["reference"]["is_adversarial"]
-
-
 def test_unknown_scorer_is_a_user_error(wav_paths, capsys):
     assert main(["screen", wav_paths[0], "--scale", "tiny",
                  "--scorer", "nope"]) == 2
@@ -150,10 +138,13 @@ def tiny_config_path(tmp_path_factory):
 
 def test_config_show_prints_effective_spec(capsys):
     assert main(["config", "show", "--scale", "small",
-                 "--scoring-backend", "reference"]) == 0
+                 "--scorer", "PE_Jaccard"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["training"]["scale"] == "small"
-    assert payload["scoring"]["backend"] == "reference"
+    assert payload["scoring"] == {"scorer": "PE_Jaccard", "cache": "shared"}
+    with pytest.raises(SystemExit):          # one scoring path: no flag
+        main(["config", "show", "--scoring-backend", "fast"])
+    capsys.readouterr()
     assert payload["suite"]["auxiliaries"] == ["DS1", "GCS", "AT"]
 
 

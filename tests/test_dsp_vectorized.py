@@ -1,22 +1,23 @@
 """Bit-identity parity harness for the vectorized DSP / decode kernels.
 
-Every vectorized ("fast") kernel in the recognition stack ships next to
-the seed library's per-clip / per-item reference implementation, and the
-contract is ``==`` (``np.array_equal``), never ``allclose``: the batched
-path must replay the reference's floating-point operations exactly.
+Every vectorized kernel in the recognition stack is pinned to the seed
+library's per-clip / per-item implementation kept in ``tests/oracles/``,
+and the contract is ``==`` (``np.array_equal``), never ``allclose``: the
+batched path must replay the oracle's floating-point operations exactly.
 These are property tests (hypothesis drives shapes, rates, dtypes and
 contents, including empty and single-frame edge cases) covering:
 
-* ``mel_filterbank`` vs ``mel_filterbank_reference``
-* ``overlap_add`` vs ``overlap_add_reference``
-* ``smoothed_frame_labels`` vs ``smoothed_frame_labels_reference``
+* ``mel_filterbank`` vs ``oracles.dsp.mel_filterbank_reference``
+* ``overlap_add`` vs ``oracles.dsp.overlap_add_reference``
+* ``smoothed_frame_labels`` vs
+  ``oracles.decoder.smoothed_frame_labels_reference``
 * ``FeatureExtractor.transform_batch`` vs per-clip ``transform`` for all
   front-end families (MFCC, log-mel, mel-cepstrum, LPCC, LPC envelope)
 * ``TemplateAcousticModel.log_posteriors_batch`` vs ``log_posteriors``
 * ``batched_edit_distances`` / ``levenshtein_codes_batch`` vs
   ``edit_distance``
 * ``BigramLanguageModel.word_scores`` vs per-word ``word_score``
-* ``WordDecoder`` fast vs scalar lexicon search
+* ``WordDecoder`` lexicon search vs ``oracles.decoder.best_word_scalar``
 
 plus the float64 dtype-stability guarantee of the front ends, and the
 BLAS thread pin: ``import repro`` runs every loaded OpenBLAS on one
@@ -29,20 +30,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.decoder import smoothed_frame_labels_reference, use_scalar_search
+from oracles.dsp import mel_filterbank_reference, overlap_add_reference
 from repro import _blas
-from repro.asr.decoder import (
-    WordDecoder,
-    smoothed_frame_labels,
-    smoothed_frame_labels_reference,
-)
+from repro.asr.decoder import WordDecoder, smoothed_frame_labels
 from repro.asr.registry import get_shared_language_model, get_shared_lexicon
 from repro.dsp.features import (
     LogMelFeatureExtractor,
     LpcFeatureExtractor,
     MfccFeatureExtractor,
 )
-from repro.dsp.framing import overlap_add, overlap_add_reference
-from repro.dsp.mel import mel_filterbank, mel_filterbank_reference
+from repro.dsp.framing import overlap_add
+from repro.dsp.mel import mel_filterbank
 from repro.text.metrics import (
     batched_edit_distances,
     edit_distance,
@@ -244,17 +243,10 @@ def test_word_decoder_fast_search_matches_scalar(seed, n_tokens):
         if rng.random() < 0.2:
             tokens.append(SILENCE)
         tokens.append(str(rng.choice(alphabet)))
-    fast = WordDecoder(get_shared_lexicon(), get_shared_language_model(),
-                       search="fast")
-    scalar = WordDecoder(get_shared_lexicon(), get_shared_language_model(),
-                         search="scalar")
+    fast = WordDecoder(get_shared_lexicon(), get_shared_language_model())
+    scalar = use_scalar_search(
+        WordDecoder(get_shared_lexicon(), get_shared_language_model()))
     assert fast.decode(list(tokens)) == scalar.decode(list(tokens))
-
-
-def test_word_decoder_rejects_unknown_search():
-    with pytest.raises(ValueError):
-        WordDecoder(get_shared_lexicon(), get_shared_language_model(),
-                    search="turbo")
 
 
 # ---------------------------------------------------------------- BLAS threads

@@ -10,6 +10,7 @@ workers, retried bystanders, no hung futures, no raw exceptions.
 from __future__ import annotations
 
 import logging
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,26 +18,31 @@ import pytest
 
 from repro.core.detector import MVPEarsDetector
 from repro.pipeline.detection import DetectionPipeline
-from repro.serving.arena import list_arena_segments
 from repro.serving import service as service_module
 from repro.serving.service import DetectionService
 
-from serving_fakes import FaultyASR, FaultyPipeline, make_clip
+from serving_fakes import (
+    FaultyASR,
+    FaultyPipeline,
+    make_clip,
+    own_arena_segments,
+)
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_arena_segments():
-    """Every fault path must leave /dev/shm clean after stop().
+    """Every fault path must leave this process's /dev/shm segments
+    cleaned up after stop().
 
     Crashed workers, hung workers, poisoned batches — whatever a test
     injected, the service's arena segment must be unlinked once the
     service stops.  (Asserted on entry too, so a leak is pinned on the
     test that caused it, not the next one.)
     """
-    assert list_arena_segments() == []
+    assert own_arena_segments() == []
     yield
-    assert list_arena_segments() == [], \
-        f"test leaked /dev/shm segments: {list_arena_segments()}"
+    assert own_arena_segments() == [], \
+        f"test leaked /dev/shm segments: {own_arena_segments()}"
 
 
 def _service(**kwargs):
@@ -59,6 +65,41 @@ def test_pipeline_exception_becomes_typed_500():
     assert result.code == 500
     assert "RuntimeError" in result.detail
     assert result.is_adversarial is None and result.scores is None
+
+
+@pytest.mark.timeout(60)
+def _poisoned_four():
+    return [make_clip(), make_clip({"raise": True}), make_clip(), make_clip()]
+
+
+@pytest.mark.timeout(60)
+def test_failed_batch_falls_back_per_request_and_is_counted():
+    with _service(max_batch_size=8) as service:
+        assert service.submit("t", make_clip()).result(timeout=30).ok
+        # Hold the idle worker on a slow clip so the next four are
+        # drained together as one tenant batch.
+        blocker = service.submit("t", make_clip({"hang": 1.0}))
+        time.sleep(0.3)
+        futures = [service.submit("t", clip) for clip in _poisoned_four()]
+        results = [future.result(timeout=30) for future in futures]
+        assert blocker.result(timeout=30).ok
+    assert [r.status for r in results] == ["ok", "error", "ok", "ok"]
+    assert service.stats.batch_fallbacks == 4
+    assert service.stats.errors == 1
+
+
+def test_failed_batch_logs_a_warning_and_flags_results(caplog):
+    sent = []
+    batch = [(key, "t", clip) for key, clip in enumerate(_poisoned_four())]
+    with caplog.at_level(logging.WARNING, logger=service_module.__name__):
+        service_module._run_batch(0, {"t": FaultyPipeline()}, batch,
+                                  SimpleNamespace(send=sent.append),
+                                  shared_caches=False)
+    assert "tenant 't' batch of 4" in caplog.text
+    assert "RuntimeError: injected pipeline fault" in caplog.text
+    assert [payload["ok"] for _, _, payload in sent] == [True, False,
+                                                          True, True]
+    assert all(payload["batch_fallback"] for _, _, payload in sent)
 
 
 @pytest.mark.timeout(60)

@@ -151,7 +151,7 @@ def test_resolve_feature_cache_policies(tmp_path):
 # ------------------------------------------------------------ feature engine
 def test_engine_caches_and_shares_across_equal_tags():
     cache = FeatureCache()
-    engine = FeatureEngine(backend="fast", cache=cache)
+    engine = FeatureEngine(cache=cache)
     samples = _clip(1)
     first = MfccFeatureExtractor()
     twin = MfccFeatureExtractor()                       # same configuration
@@ -195,7 +195,7 @@ def test_engine_without_cache_reports_zero_stats():
 
 def test_prewarm_dedupes_and_feeds_later_lookups():
     cache = FeatureCache()
-    engine = FeatureEngine(backend="fast", cache=cache)
+    engine = FeatureEngine(cache=cache)
     extractor = MfccFeatureExtractor()
     a, b = _clip(5), _clip(6, length=900)
     computed = engine.prewarm(extractor, [(a, SR), (b, SR), (a, SR)])
@@ -209,11 +209,6 @@ def test_prewarm_dedupes_and_feeds_later_lookups():
     assert engine.prewarm(extractor, [(a, SR), (b, SR)]) == 0  # already warm
 
 
-def test_engine_rejects_unknown_backend():
-    with pytest.raises(KeyError):
-        FeatureEngine(backend="warp-drive")
-
-
 # ------------------------------------------------------------- spec surface
 def test_features_spec_round_trip_and_defaults():
     spec = DetectorSpec()
@@ -221,8 +216,8 @@ def test_features_spec_round_trip_and_defaults():
                                                   cache="shared")
     assert DetectorSpec.from_dict(spec.to_dict()) == spec
     custom = DetectorSpec.from_dict(
-        {"pipeline": {"features": {"backend": "reference", "cache": "off"}}})
-    assert custom.pipeline.features.backend == "reference"
+        {"pipeline": {"features": {"backend": "off", "cache": "off"}}})
+    assert custom.pipeline.features.backend == "off"
     assert custom.pipeline.features.cache == "off"
 
 
@@ -245,11 +240,15 @@ def test_features_spec_path_policy_is_valid():
 
 
 def test_feature_flags_reach_the_spec(capsys):
-    assert main(["config", "show", "--feature-backend", "reference",
+    assert main(["config", "show", "--feature-backend", "off",
                  "--feature-cache", "private"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["pipeline"]["features"] == {"backend": "reference",
+    assert payload["pipeline"]["features"] == {"backend": "off",
                                                "cache": "private"}
+    # The per-clip "reference" path is a test oracle, not an option.
+    with pytest.raises(SystemExit):
+        main(["config", "show", "--feature-backend", "reference"])
+    capsys.readouterr()
 
 
 def test_feature_env_overlays(capsys, monkeypatch):
@@ -296,7 +295,7 @@ def detector_pair(ds0, asr_suite, rng):
                             feature_engine=feature_engine),
             np.random.default_rng(7))
     return (build(None),
-            build(FeatureEngine(backend="fast", cache=FeatureCache())))
+            build(FeatureEngine(cache=FeatureCache())))
 
 
 def _assert_same_result(plain, fast):
@@ -353,7 +352,7 @@ def test_transform_ensemble_parity(ds0, parity_clips):
 
     plain = build(None)
     cache = FeatureCache()
-    fast = build(FeatureEngine(backend="fast", cache=cache))
+    fast = build(FeatureEngine(cache=cache))
     for clip in parity_clips:
         _assert_same_result(plain.detect(clip), fast.detect(clip))
     # Transformed views must decode their own (transformed) samples, so

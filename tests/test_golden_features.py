@@ -3,11 +3,13 @@
 ``tests/fixtures/golden_features.npz`` holds the raw samples and the
 reference MFCC / LPCC feature matrices of three fixed utterances,
 computed by the seed library's per-clip path when the vectorized front
-end landed.  Both backends must reproduce the stored matrices *exactly*
+end landed.  The per-clip oracle (``"reference"``, from
+``tests/oracles/``), the feature engine's single-clip path (``"fast"``)
+and its batched path must all reproduce the stored matrices *exactly*
 (``np.array_equal``): any change to the DSP arithmetic — reordered
 reductions, dtype drift, a "harmless" refactor of the Levinson-Durbin
 recursion — fails this test even if the hypothesis parity tests still
-pass (those only pin fast == reference, not either == history).
+pass (those only pin runtime == oracle, not either == history).
 """
 
 import os
@@ -15,7 +17,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.dsp.engine import get_feature_backend
+from oracles.dsp import ReferenceFeatureBackend
+from repro.dsp.engine import FeatureEngine
+from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.features import LpcFeatureExtractor, MfccFeatureExtractor
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -46,7 +50,8 @@ def test_fixture_has_three_utterances(golden):
 @pytest.mark.parametrize("family", ["mfcc", "lpc"])
 def test_backends_reproduce_golden_features(golden, extractors, backend_name,
                                             family):
-    backend = get_feature_backend(backend_name)
+    backend = {"reference": ReferenceFeatureBackend(),
+               "fast": FeatureEngine(cache=False)}[backend_name]
     extractor = extractors[family]
     for i in range(N_UTTERANCES):
         features = backend.features(extractor, golden[f"samples_{i}"], 16_000)
@@ -62,3 +67,11 @@ def test_batched_path_reproduces_golden_features(golden, extractors, family):
     batch = [golden[f"samples_{i}"] for i in range(N_UTTERANCES)]
     for i, features in enumerate(extractor.transform_batch(batch)):
         assert np.array_equal(features, golden[f"{family}_{i}"])
+    # The engine's prewarm path fills its cache through the same batch.
+    engine = FeatureEngine(cache=FeatureCache())
+    assert engine.prewarm(extractor, [(clip, 16_000) for clip in batch]) \
+        == N_UTTERANCES
+    for i, clip in enumerate(batch):
+        assert np.array_equal(engine.features(extractor, clip, 16_000),
+                              golden[f"{family}_{i}"])
+    assert engine.stats.hits == N_UTTERANCES

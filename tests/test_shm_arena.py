@@ -25,10 +25,11 @@ from repro.serving.arena import (
     ArenaError,
     ShmArena,
     StaleSlot,
-    list_arena_segments,
     restore_waveform,
     share_waveform,
 )
+
+from serving_fakes import own_arena_segments
 
 
 @pytest.fixture()
@@ -269,14 +270,14 @@ class TestEngineAdoption:
 
 # -------------------------------------------------------------- leak harness
 def _assert_no_segments():
-    assert list_arena_segments() == [], (
-        f"leaked /dev/shm segments: {list_arena_segments()}")
+    assert own_arena_segments() == [], (
+        f"leaked /dev/shm segments: {own_arena_segments()}")
 
 
 class TestLeakHarness:
     def test_destroy_unlinks_segment(self):
         a = ShmArena(4096)
-        assert a.name in list_arena_segments()
+        assert a.name in own_arena_segments()
         a.destroy()
         _assert_no_segments()
         a.destroy()  # idempotent
@@ -290,7 +291,7 @@ class TestLeakHarness:
                                    request_timeout_seconds=10.0)
         with service:
             assert service.active_transport == "shm"
-            assert len(list_arena_segments()) == 1
+            assert len(own_arena_segments()) == 1
             assert service.submit("t", make_clip()).result(timeout=30).ok
         _assert_no_segments()
 

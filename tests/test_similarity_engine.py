@@ -1,7 +1,8 @@
-"""Tests for the batch scoring engine: kernels, backends, pair cache.
+"""Tests for the batch scoring engine: kernels, engine, pair cache.
 
-The fast backend's contract is *bit-identical* scores — every assertion
-on values here is ``==`` on floats, not ``approx``.
+The engine's contract is scores *bit-identical* to the scalar oracle in
+``tests/oracles/scoring.py`` — every assertion on values here is ``==``
+on floats, not ``approx``.
 """
 
 import numpy as np
@@ -9,16 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.scoring import ReferenceScoringBackend, ScalarSimilarityEngine
 from repro.similarity.engine import (
-    FastScoringBackend,
-    ReferenceScoringBackend,
     ScoreBatchReport,
     SimilarityEngine,
-    get_scoring_backend,
     get_shared_score_cache,
-    register_scoring_backend,
     resolve_score_cache,
-    scoring_backend_names,
 )
 from repro.similarity.kernels import (
     VECTORIZE_MIN_TOKENS,
@@ -31,7 +28,11 @@ from repro.similarity.kernels import (
     token_counts,
 )
 from repro.similarity.score_cache import PairScoreCache
-from repro.similarity.scorer import SIMILARITY_METHODS, get_scorer
+from repro.similarity.scorer import (
+    SIMILARITY_METHODS,
+    SimilarityScorer,
+    get_scorer,
+)
 from repro.similarity.string_metrics import (
     cosine_similarity,
     jaccard_similarity,
@@ -97,14 +98,15 @@ def test_jaro_winkler_fast_validates_prefix_scale():
         jaro_winkler_similarity_fast("a", "a", prefix_scale=0.5)
 
 
-# ----------------------------------------------------------- backend parity
+# ------------------------------------------------------------ oracle parity
 @settings(max_examples=40)
 @given(_wordish, _wordish)
 def test_fast_backend_bit_identical_all_methods(a, b):
-    fast, reference = FastScoringBackend(), ReferenceScoringBackend()
+    reference = ReferenceScoringBackend()
     for method in _ALL_METHODS:
         scorer = get_scorer(method)
-        assert (fast.score_pairs(scorer, [(a, b)])[0]
+        fast = SimilarityEngine(scorer=scorer, cache=False)
+        assert (fast.score_pairs([(a, b)])[0]
                 == reference.score_pairs(scorer, [(a, b)])[0]
                 == scorer.score(a, b))
 
@@ -113,34 +115,22 @@ def test_fast_backend_bit_identical_all_methods(a, b):
 @given(st.lists(st.tuples(_any_text, _any_text), max_size=12))
 def test_fast_backend_batch_matches_reference(pairs):
     scorer = get_scorer()
-    fast = FastScoringBackend().score_pairs(scorer, pairs)
+    fast = SimilarityEngine(scorer=scorer, cache=False).score_pairs(pairs)
     reference = ReferenceScoringBackend().score_pairs(scorer, pairs)
     assert fast.dtype == np.float64 and fast.shape == (len(pairs),)
     assert np.array_equal(fast, reference)
 
 
-def test_backend_registry():
-    assert {"fast", "reference"} <= set(scoring_backend_names())
-    assert get_scoring_backend("fast").name == "fast"
-    assert get_scoring_backend() is get_scoring_backend("fast")  # shared
-    with pytest.raises(KeyError):
-        get_scoring_backend("nope")
+def test_metric_without_a_kernel_falls_back_to_scorer_score():
+    class Constant(SimilarityScorer):
+        def score(self, text_a, text_b):
+            return 0.25
 
-    class UpsideDown:
-        name = "upside-down"
-
-        def score_pairs(self, scorer, pairs):
-            return 1.0 - ReferenceScoringBackend().score_pairs(scorer, pairs)
-
-    register_scoring_backend("upside-down", UpsideDown)
-    try:
-        engine = SimilarityEngine(backend="upside-down", cache=False)
-        assert engine.score_pair("open the door", "open the door") == 0.0
-    finally:
-        # Leave the registry as the other tests expect it.
-        from repro.similarity import engine as engine_module
-        engine_module._BACKEND_FACTORIES.pop("upside-down")
-        engine_module._backend_instance.cache_clear()
+    engine = SimilarityEngine(scorer=Constant("Constant", "Constant", False),
+                              cache=False)
+    values = engine.score_pairs([("open", "door"), ("a", "b")])
+    assert values.dtype == np.float64
+    assert values.tolist() == [0.25, 0.25]
 
 
 # ------------------------------------------------------------- score cache
@@ -222,20 +212,19 @@ def test_engine_cache_reporting_and_sharing():
         bare.save_cache()
 
 
-def test_duplicate_misses_are_computed_once_per_call():
+def test_duplicate_misses_are_computed_once_per_call(monkeypatch):
     calls = []
+    engine = SimilarityEngine(cache=PairScoreCache())
+    compute = engine._compute
 
-    class Counting:
-        name = "counting"
+    def counting(pairs):
+        calls.append(len(pairs))
+        return compute(pairs)
 
-        def score_pairs(self, scorer, pairs):
-            calls.append(len(pairs))
-            return ReferenceScoringBackend().score_pairs(scorer, pairs)
-
-    engine = SimilarityEngine(backend=Counting(), cache=PairScoreCache())
+    monkeypatch.setattr(engine, "_compute", counting)
     pair = ("open the door", "open the tour")
     values, report = engine.score_pairs_report([pair, pair, pair])
-    assert calls == [1]                       # deduplicated before the backend
+    assert calls == [1]                       # deduplicated before computing
     assert report.cache_misses == 3 and report.cache_hits == 0
     assert values[0] == values[1] == values[2] == get_scorer().score(*pair)
     _, report = engine.score_pairs_report([pair])
@@ -278,30 +267,6 @@ def test_scorer_cache_tag_distinguishes_configuration():
     assert get_scorer("Cosine").cache_tag != get_scorer("Jaccard").cache_tag
 
 
-def test_custom_backend_cannot_poison_the_parity_cache():
-    """A backend that does not declare the parity namespace is isolated:
-    its (possibly approximate) scores never serve other backends' hits."""
-
-    class Approximate:
-        name = "approximate"        # no cache_namespace attribute
-
-        def score_pairs(self, scorer, pairs):
-            return np.full(len(pairs), 0.5)
-
-    cache = PairScoreCache()
-    exact = SimilarityEngine(backend="fast", cache=cache)
-    approximate = SimilarityEngine(backend=Approximate(), cache=cache)
-    pair = ("open the door", "open the tour")
-    assert approximate.score_pair(*pair) == 0.5
-    assert exact.score_pair(*pair) == get_scorer().score(*pair) != 0.5
-    # Both populated the one cache, under distinct namespaced keys.
-    assert len(cache) == 2
-    # The built-in backends do share entries (both are bit-identical).
-    reference = SimilarityEngine(backend="reference", cache=cache)
-    _, report = reference.score_pairs_report([pair])
-    assert report.cache_hits == 1 and len(cache) == 2
-
-
 # ------------------------------------------------------ features layer glue
 def test_scores_from_transcriptions_dtype_is_float64():
     from repro.core.features import scores_from_transcriptions
@@ -335,15 +300,15 @@ def test_suite_scoring_matches_scalar_path():
         [scorer.score(suite.target.text, suite.auxiliaries[aux.short_name].text)
          for aux in auxiliaries]
         for suite in suites], dtype=np.float64)
-    for backend in ("fast", "reference"):
-        scoring = SimilarityEngine(backend=backend, cache=PairScoreCache())
+    for engine_type in (SimilarityEngine, ScalarSimilarityEngine):
+        scoring = engine_type(cache=PairScoreCache())
         matrix = scoring.score_suites(suites, auxiliaries)
         assert matrix.dtype == np.float64
         assert np.array_equal(matrix, expected)
 
 
 def test_features_for_recompute_honours_the_scoring_engine():
-    """The dataset recompute path uses the caller's engine (its backend
+    """The dataset recompute path uses the caller's engine (its scorer
     and cache policy), not a fresh default one."""
     from repro.datasets.scores import ScoredDataset
 
@@ -369,10 +334,11 @@ def test_features_for_recompute_honours_the_scoring_engine():
     assert features[1, 1] == scorer.score("open the door", "nobody here")
 
 
-# --------------------------------------------- backend parity, end to end
+# ---------------------------------------------- oracle parity, end to end
 def test_backend_parity_across_detection_paths():
-    """Fast and reference backends produce bit-identical score vectors on
-    the sequential, batched, streamed and transform-ensemble paths."""
+    """The engine and the scalar oracle produce bit-identical score
+    vectors on the sequential, batched, streamed and transform-ensemble
+    paths."""
     from repro import (
         DetectionPipeline,
         MVPEarsDetector,
@@ -393,8 +359,8 @@ def test_backend_parity_across_detection_paths():
         np.concatenate([clip.samples for clip in clips]))
     shared_transcriptions = TranscriptionCache()
 
-    def fitted(backend, transform_ensemble):
-        scoring = SimilarityEngine(backend=backend, cache=PairScoreCache())
+    def fitted(engine_type, transform_ensemble):
+        scoring = engine_type(cache=PairScoreCache())
         if transform_ensemble:
             detector = TransformEnsembleDetector(
                 build_asr("DS0"),
@@ -409,8 +375,8 @@ def test_backend_parity_across_detection_paths():
         return detector.fit_features(features, np.array([0] * 4 + [1] * 4))
 
     for transform_ensemble in (False, True):
-        fast = fitted("fast", transform_ensemble)
-        reference = fitted("reference", transform_ensemble)
+        fast = fitted(SimilarityEngine, transform_ensemble)
+        reference = fitted(ScalarSimilarityEngine, transform_ensemble)
 
         sequential_fast = [fast.detect(clip).scores for clip in clips]
         sequential_reference = [reference.detect(clip).scores

@@ -47,8 +47,7 @@ SPEC_VARIANTS = {
             auxiliaries=(ASRSpec("DS1"),
                          ASRSpec("DS0", transform=TransformSpec("median:5")),
                          ASRSpec("GCS"))),
-        scoring=ScoringSpec(scorer="PE_Jaccard", backend="reference",
-                            cache="private")),
+        scoring=ScoringSpec(scorer="PE_Jaccard", cache="private")),
 }
 
 
@@ -76,11 +75,11 @@ def test_asr_spec_serialises_compactly():
 def test_env_overlay_wins_over_file_values(tmp_path):
     path = DetectorSpec.default(scale="tiny").save(str(tmp_path / "c.json"))
     env = {"REPRO_SCALE": "medium", "REPRO_WORKERS": "3",
-           "REPRO_SCORING_BACKEND": "reference", "REPRO_CLASSIFIER": "KNN"}
+           "REPRO_SCORER": "PE_Jaccard", "REPRO_CLASSIFIER": "KNN"}
     spec = DetectorSpec.load(path, env=env)
     assert spec.training.scale == "medium"
     assert spec.pipeline.workers == 3
-    assert spec.scoring.backend == "reference"
+    assert spec.scoring.scorer == "PE_Jaccard"
     assert spec.classifier.name == "KNN"
     # Unset variables leave file values untouched.
     untouched = DetectorSpec.load(path, env={})
@@ -94,9 +93,9 @@ def test_env_overlay_reports_bad_values():
 
 def test_with_value_replaces_one_leaf():
     spec = DetectorSpec.default()
-    changed = spec.with_value("scoring.backend", "reference")
-    assert changed.scoring.backend == "reference"
-    assert changed.with_value("scoring.backend", "fast") == spec
+    changed = spec.with_value("scoring.scorer", "PE_Jaccard")
+    assert changed.scoring.scorer == "PE_Jaccard"
+    assert changed.with_value("scoring.scorer", "PE_JaroWinkler") == spec
 
 
 # --------------------------------------------------------------- validation
@@ -104,8 +103,9 @@ def test_validation_names_every_bad_field_with_choices():
     spec = DetectorSpec.from_dict({
         "suite": {"target": "SIRI",
                   "auxiliaries": [{"name": "DS0", "transform": "reverb:3"}]},
-        "scoring": {"scorer": "nope", "backend": "slow"},
+        "scoring": {"scorer": "nope"},
         "classifier": "MLP",
+        "pipeline": {"features": {"backend": "reference"}},
         "training": {"scale": "gigantic", "source": "csv"},
     })
     with pytest.raises(InvalidSpecError) as excinfo:
@@ -114,7 +114,7 @@ def test_validation_names_every_bad_field_with_choices():
     for field, choice in (("suite.target.name", "DS0"),
                           ("suite.auxiliaries[0].transform", "quantize"),
                           ("scoring.scorer", "PE_JaroWinkler"),
-                          ("scoring.backend", "fast"),
+                          ("pipeline.features.backend", "['off', 'fast']"),
                           ("classifier.name", "SVM"),
                           ("training.scale", "tiny"),
                           ("training.source", "bundle")):
@@ -130,6 +130,9 @@ def test_from_dict_rejects_unknown_fields():
     with pytest.raises(InvalidSpecError,
                        match="serving: unknown field 'max_latency_seconds'"):
         DetectorSpec.from_dict({"serving": {"max_latency_seconds": 0.01}})
+    with pytest.raises(InvalidSpecError,
+                       match="scoring: unknown field 'backend'"):
+        DetectorSpec.from_dict({"scoring": {"backend": "fast"}})
 
 
 def test_empty_auxiliaries_is_invalid():
@@ -311,9 +314,6 @@ def test_reregistration_replaces_cached_instance(echo_asr):
         .build_classifier("MLP"), "classifier"),
     (lambda: __import__("repro.similarity.scorer", fromlist=["get_scorer"])
         .get_scorer("nope"), "similarity method"),
-    (lambda: __import__("repro.similarity.engine",
-                        fromlist=["get_scoring_backend"])
-        .get_scoring_backend("slow"), "scoring backend"),
     (lambda: __import__("repro.similarity.engine",
                         fromlist=["resolve_score_cache"])
         .resolve_score_cache("sharde"), "score-cache policy"),
