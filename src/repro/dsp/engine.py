@@ -12,9 +12,9 @@ once, shares the matrix across suite members through a content-hash
 pipeline batches through the vectorized
 :meth:`~repro.dsp.features.FeatureExtractor.transform_batch` path.
 
-Single clips go through :meth:`~repro.dsp.features.FeatureExtractor.transform`;
-batches stack analysis frames across clips and run the row-independent
-stages once.  Both are ``==``-identical to the seed library's per-clip
+Single clips go through
+:meth:`~repro.dsp.features.FeatureExtractor.transform`; batches stack
+analysis frames across clips and run the row-independent stages once.  Both are ``==``-identical to the seed library's per-clip
 loop, which ``tests/oracles/`` keeps as the parity reference (pinned by
 ``tests/test_dsp_vectorized.py`` and the golden-fixture test).
 """
