@@ -154,7 +154,10 @@ class ServiceStats:
     ``batch_fallbacks`` counts the results that were detected one
     request at a time because their tenant batch's ``detect_batch``
     raised (the worker logs a warning naming the tenant, the batch size
-    and the exception).
+    and the exception).  ``collector_failures`` counts the times the
+    result collector died on a pipe error while the service was running
+    (it logs an error naming the exception, and every outstanding
+    request resolves as a 500 naming the failure).
     """
 
     submitted: int = 0
@@ -169,6 +172,7 @@ class ServiceStats:
     ipc_bytes_in: int = 0
     cache_refresh_failures: int = 0
     batch_fallbacks: int = 0
+    collector_failures: int = 0
 
     def snapshot(self) -> "ServiceStats":
         return replace(self)
@@ -559,15 +563,7 @@ class DetectionService:
             self._wake_r = self._wake_w = None
             self._task_qs.clear()
             self._procs.clear()
-            with self._lock:
-                leftovers = list(self._requests.values())
-                self._requests.clear()
-                self._pending.clear()
-                for inflight in self._inflight.values():
-                    inflight.clear()
-            for request in leftovers:
-                self._resolve(request, status="error",
-                              detail="service stopped", code=500)
+            self._fail_outstanding("service stopped")
         finally:
             if self._arena is not None:
                 self._arena.destroy()
@@ -800,13 +796,15 @@ class DetectionService:
             try:
                 ready = multiprocessing.connection.wait(
                     conns + [self._wake_r], timeout=1.0)
-            except OSError:
+            except OSError as exc:
+                self._collector_failed(exc)
                 return
             for conn in ready:
                 if conn is self._wake_r:
                     try:
                         conn.recv_bytes()
-                    except (EOFError, OSError):
+                    except (EOFError, OSError) as exc:
+                        self._collector_failed(exc)
                         return
                     continue
                 try:
@@ -819,6 +817,30 @@ class DetectionService:
                     conn.close()
                     continue
                 self._handle_result(*item)
+
+    def _collector_failed(self, exc: BaseException) -> None:
+        """The collector is exiting on ``exc``: unless the service is
+        stopping, count and log it, and resolve every outstanding request
+        now — no result can reach them any more."""
+        if self._stopping.is_set():
+            return
+        with self._lock:
+            self.stats.collector_failures += 1
+        detail = f"result collector failed: {type(exc).__name__}: {exc}"
+        logger.error("%s; resolving outstanding requests as errors", detail)
+        self._fail_outstanding(detail)
+
+    def _fail_outstanding(self, detail: str) -> None:
+        """Resolve every request still in the house as a 500 with
+        ``detail``."""
+        with self._lock:
+            leftovers = list(self._requests.values())
+            self._requests.clear()
+            self._pending.clear()
+            for inflight in self._inflight.values():
+                inflight.clear()
+        for request in leftovers:
+            self._resolve(request, status="error", detail=detail, code=500)
 
     def _handle_result(self, worker_id: int, key: int, payload: dict) -> None:
         with self._lock:

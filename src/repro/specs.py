@@ -39,11 +39,14 @@ a JSON file.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import types
+import typing
 import weakref
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.config import DEFAULT_SEED, scale_names
 from repro.errors import UnknownComponentError
@@ -61,7 +64,7 @@ SERVE_TRANSPORTS: tuple[str, ...] = ("shm", "pickle")
 SCALE_NAMES: tuple[str, ...] = scale_names()
 
 
-#: Identities of DetectorSpec instances that already passed validate()
+#: Identities of spec instances that already passed validate()
 #: (entries are discarded when the instance is garbage-collected).
 _VALIDATED_IDS: set[int] = set()
 
@@ -82,38 +85,202 @@ class InvalidSpecError(ValueError):
                 "\n  ".join(self.problems)))
 
 
-# ----------------------------------------------------------------- utilities
-def _check_keys(data: Mapping, cls, path: str) -> None:
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise InvalidSpecError([
-            f"{path}: unknown field {name!r} "
-            f"(allowed: {sorted(allowed)})" for name in unknown])
+# --------------------------------------------------------------------- codec
+# One codec serves every spec class: it reads each dataclass's field
+# annotations, so a field's type is stated once, in its annotation.
+@functools.cache
+def _hints(cls) -> dict[str, Any]:
+    return typing.get_type_hints(cls)
 
 
-def _expect_mapping(data: Any, path: str) -> Mapping:
-    if not isinstance(data, Mapping):
-        raise InvalidSpecError(
-            [f"{path}: expected an object, got {type(data).__name__}"])
-    return data
+def _decode(hint: Any, value: Any, path: str, problems: list[str]) -> Any:
+    """``value`` read as ``hint``; each fault is appended to ``problems``
+    (the return value is then meaningless) so a parse reports them all.
 
-
-def _coerce(value: Any, kind: Callable, path: str, none_ok: bool = False):
-    if value is None:
-        if none_ok:
+    ``X | None`` is the only annotation that admits null; ``tuple[X, ...]``
+    reads a list; ``Mapping`` reads an object with string keys; a spec
+    class reads an object (or its shorthand string); a scalar type
+    coerces the value with its constructor.
+    """
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None:
             return None
-        raise InvalidSpecError([f"{path}: must not be null"])
+        (hint,) = [arg for arg in typing.get_args(hint)
+                   if arg is not type(None)]
+        return _decode(hint, value, path, problems)
+    if origin is tuple:
+        if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+            problems.append(f"{path}: expected a list, got {value!r}")
+            return ()
+        item = typing.get_args(hint)[0]
+        return tuple(_decode(item, entry, f"{path}[{i}]", problems)
+                     for i, entry in enumerate(value))
+    if origin is not None and issubclass(origin, Mapping):
+        if not isinstance(value, Mapping):
+            problems.append(
+                f"{path}: expected an object, got {type(value).__name__}")
+            return {}
+        problems.extend(f"{path}: parameter names must be strings, "
+                        f"got {key!r}" for key in value
+                        if not isinstance(key, str))
+        return dict(value)
+    if isinstance(hint, type) and issubclass(hint, _Spec):
+        if isinstance(value, hint):
+            return value
+        if isinstance(value, str) and hint._shorthand:
+            return hint(**{hint._shorthand: value})
+        if hint._string_only:
+            problems.append(
+                f"{path}: expected {hint._string_only}, got {value!r}")
+            return None
+        if not isinstance(value, Mapping):
+            problems.append(
+                f"{path}: expected an object, got {type(value).__name__}")
+            return None
+        return hint._from_mapping(value, path, problems)
+    if value is None:
+        problems.append(f"{path}: must not be null")
+        return None
     try:
-        return kind(value)
+        return hint(value)
     except (TypeError, ValueError):
-        raise InvalidSpecError(
-            [f"{path}: expected {kind.__name__}, got {value!r}"]) from None
+        problems.append(f"{path}: expected {hint.__name__}, got {value!r}")
+        return None
+
+
+def _read(hint: Any, value: Any, path: str) -> Any:
+    """:func:`_decode`, raising one :class:`InvalidSpecError` listing
+    every problem."""
+    problems: list[str] = []
+    value = _decode(hint, value, path, problems)
+    if problems:
+        raise InvalidSpecError(problems)
+    return value
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, _Spec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value
+
+
+def _replace_path(node: Any, dotted: str, value: Any):
+    """Replace the field at ``dotted`` in a nested frozen-dataclass tree
+    (a mapping field takes the rest of the path as one key)."""
+    head, _, rest = dotted.partition(".")
+    if not rest:
+        return replace(node, **{head: value})
+    child = getattr(node, head)
+    if isinstance(child, Mapping):
+        return replace(node, **{head: {**child, rest: value}})
+    return replace(node, **{head: _replace_path(child, rest, value)})
+
+
+def _env_overlay(spec: Any, table: Mapping[str, str],
+                 env: Mapping[str, str] | None) -> Any:
+    """``spec`` with every set variable of ``table`` (variable -> dotted
+    path) parsed at that path's annotation and folded in."""
+    if env is None:
+        env = os.environ
+    for variable, dotted in table.items():
+        raw = env.get(variable)
+        if raw is None or raw == "":
+            continue
+        hint = type(spec)
+        for name in dotted.split("."):
+            hint = _hints(hint)[name]
+        spec = _replace_path(spec, dotted, _read(hint, raw, f"${variable}"))
+    return spec
+
+
+class _Spec:
+    """Base of every serialisable spec: the one codec's entry points.
+
+    ``to_dict`` gives each field's value by name (nested specs in their
+    own form); ``from_dict`` parses the same shape strictly, reading
+    each field at its annotation and reporting every bad field at once.
+    Error paths start at the class name without ``Spec``, lower-cased
+    (``"suite"``), unless the class sets ``_path``.
+    """
+
+    #: Root of ``from_dict``'s error paths, when not the default.
+    _path = ""
+    #: The field a bare JSON string fills (``"DS1"`` for ``{"name": "DS1"}``).
+    _shorthand = ""
+    #: Set on specs whose only JSON form is that string: what a parse
+    #: error says it expected instead.
+    _string_only = ""
+
+    def to_dict(self) -> Any:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: Any, path: str | None = None):
+        if path is None:
+            path = cls._path or cls.__name__.removesuffix("Spec").lower()
+        return _read(cls, data, path)
+
+    @classmethod
+    def _from_mapping(cls, data: Mapping, path: str, problems: list[str]):
+        """The object form: one key per field, unknown keys rejected."""
+        before = len(problems)
+        known = [f.name for f in fields(cls)]
+        problems.extend(f"{path}: unknown field {name!r} "
+                        f"(allowed: {sorted(known)})"
+                        for name in sorted(set(data) - set(known)))
+        hints = _hints(cls)
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in data:
+                kwargs[f.name] = _decode(hints[f.name], data[f.name],
+                                         f"{path}.{f.name}", problems)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                problems.append(f"{path}: missing required field {f.name!r}")
+        return cls(**kwargs) if len(problems) == before else None
+
+    def to_json(self, indent: int = 2) -> str:
+        """The spec as a JSON document (what :meth:`from_json` reads)."""
+        return json.dumps(self.to_dict(), indent=indent) + "\n"
+
+    @classmethod
+    def from_json(cls, path: str):
+        """Read a spec from the JSON file at ``path`` (strictly parsed)."""
+        with open(path, encoding="utf-8") as handle:
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise InvalidSpecError([f"{path}: not valid JSON: {exc}"]) \
+                    from exc
+        return cls.from_dict(data, path=os.path.basename(path))
+
+    def validate(self):
+        """Raise :class:`InvalidSpecError` listing *all* problems; else self.
+
+        Validation of a given *instance* is memoised, so a spec threaded
+        through several builders (``build_streaming`` ->
+        ``StreamingDetector.from_spec`` -> ``build``) pays the registry
+        walk once.  Mutating a registry after an instance validated (a
+        test unregistering a plugin) does not re-flag that instance;
+        construct a fresh spec to re-check.
+        """
+        if id(self) in _VALIDATED_IDS:
+            return self
+        problems = self.problems()
+        if problems:
+            raise InvalidSpecError(problems)
+        _VALIDATED_IDS.add(id(self))
+        weakref.finalize(self, _VALIDATED_IDS.discard, id(self))
+        return self
 
 
 # ------------------------------------------------------------------ ASR suite
 @dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(_Spec):
     """One input transformation in compact parse syntax.
 
     ``spec`` is the syntax :func:`repro.defenses.transforms.parse_transform`
@@ -122,6 +289,12 @@ class TransformSpec:
     """
 
     spec: str
+
+    _shorthand = "spec"
+    _string_only = "a transform spec string"
+
+    def to_dict(self) -> str:
+        return self.spec
 
     def build(self):
         """The configured :class:`~repro.defenses.transforms.Transform`."""
@@ -136,18 +309,9 @@ class TransformSpec:
             return [f"{path}: {exc}"]
         return []
 
-    @classmethod
-    def from_value(cls, value: Any, path: str) -> "TransformSpec":
-        if isinstance(value, TransformSpec):
-            return value
-        if isinstance(value, str):
-            return cls(value)
-        raise InvalidSpecError(
-            [f"{path}: expected a transform spec string, got {value!r}"])
-
 
 @dataclass(frozen=True)
-class ASRSpec:
+class ASRSpec(_Spec):
     """One suite member: a registered ASR, optionally heard through a
     transform.
 
@@ -163,26 +327,10 @@ class ASRSpec:
     name: str
     transform: TransformSpec | None = None
 
-    def to_dict(self) -> dict | str:
-        if self.transform is None:
-            return self.name
-        return {"name": self.name, "transform": self.transform.spec}
+    _shorthand = "name"
 
-    @classmethod
-    def from_value(cls, value: Any, path: str) -> "ASRSpec":
-        if isinstance(value, ASRSpec):
-            return value
-        if isinstance(value, str):
-            return cls(value)
-        data = _expect_mapping(value, path)
-        _check_keys(data, cls, path)
-        if "name" not in data:
-            raise InvalidSpecError([f"{path}: missing required field 'name'"])
-        name = _coerce(data["name"], str, f"{path}.name")
-        transform = data.get("transform")
-        if transform is not None:
-            transform = TransformSpec.from_value(transform, f"{path}.transform")
-        return cls(name=name, transform=transform)
+    def to_dict(self) -> dict | str:
+        return self.name if self.transform is None else super().to_dict()
 
     def problems(self, path: str = "asr") -> list[str]:
         from repro.asr.registry import asr_name_resolvable, available_asr_names
@@ -208,7 +356,7 @@ def _default_auxiliaries() -> tuple["ASRSpec", ...]:
 
 
 @dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(_Spec):
     """The multiversion suite: one target, any mix of auxiliary versions.
 
     Auxiliaries may freely mix built-in ASRs, registered plugins and
@@ -221,28 +369,6 @@ class SuiteSpec:
     target: ASRSpec = field(default_factory=_default_target)
     auxiliaries: tuple[ASRSpec, ...] = field(
         default_factory=_default_auxiliaries)
-
-    def to_dict(self) -> dict:
-        return {"target": self.target.to_dict(),
-                "auxiliaries": [aux.to_dict() for aux in self.auxiliaries]}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "suite") -> "SuiteSpec":
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: dict = {}
-        if "target" in data:
-            kwargs["target"] = ASRSpec.from_value(data["target"],
-                                                  f"{path}.target")
-        if "auxiliaries" in data:
-            raw = data["auxiliaries"]
-            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-                raise InvalidSpecError(
-                    [f"{path}.auxiliaries: expected a list, got {raw!r}"])
-            kwargs["auxiliaries"] = tuple(
-                ASRSpec.from_value(item, f"{path}.auxiliaries[{i}]")
-                for i, item in enumerate(raw))
-        return cls(**kwargs)
 
     def problems(self, path: str = "suite") -> list[str]:
         out = self.target.problems(f"{path}.target")
@@ -261,7 +387,7 @@ def _default_scorer() -> str:
 
 
 @dataclass(frozen=True)
-class ScoringSpec:
+class ScoringSpec(_Spec):
     """The similarity scoring stage.
 
     Attributes:
@@ -274,17 +400,6 @@ class ScoringSpec:
 
     scorer: str = field(default_factory=_default_scorer)
     cache: str = "shared"
-
-    def to_dict(self) -> dict:
-        return {"scorer": self.scorer, "cache": self.cache}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "scoring") -> "ScoringSpec":
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs = {key: _coerce(data[key], str, f"{path}.{key}")
-                  for key in ("scorer", "cache") if key in data}
-        return cls(**kwargs)
 
     def problems(self, path: str = "scoring") -> list[str]:
         from repro.caching import check_cache_policy
@@ -304,24 +419,12 @@ class ScoringSpec:
 
 # ---------------------------------------------------------------- classifier
 @dataclass(frozen=True)
-class ClassifierSpec:
+class ClassifierSpec(_Spec):
     """The binary classifier, by registry name (default: the paper's SVM)."""
 
     name: str = "SVM"
 
-    def to_dict(self) -> dict:
-        return {"name": self.name}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "classifier") -> "ClassifierSpec":
-        if isinstance(data, str):        # shorthand: "SVM"
-            return cls(data)
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs = {}
-        if "name" in data:
-            kwargs["name"] = _coerce(data["name"], str, f"{path}.name")
-        return cls(**kwargs)
+    _shorthand = "name"        # "classifier": "SVM"
 
     def problems(self, path: str = "classifier") -> list[str]:
         from repro.ml.registry import available_classifier_names
@@ -337,7 +440,7 @@ FEATURE_BACKENDS = ("off", "fast")
 
 
 @dataclass(frozen=True)
-class FeaturesSpec:
+class FeaturesSpec(_Spec):
     """The front-end feature stage: feature engine on or off, and its cache.
 
     Attributes:
@@ -353,17 +456,7 @@ class FeaturesSpec:
     backend: str = "fast"
     cache: str = "shared"
 
-    def to_dict(self) -> dict:
-        return {"backend": self.backend, "cache": self.cache}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "pipeline.features"
-                  ) -> "FeaturesSpec":
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs = {key: _coerce(data[key], str, f"{path}.{key}")
-                  for key in ("backend", "cache") if key in data}
-        return cls(**kwargs)
+    _path = "pipeline.features"
 
     def problems(self, path: str = "pipeline.features") -> list[str]:
         from repro.caching import check_cache_policy
@@ -382,7 +475,7 @@ class FeaturesSpec:
 
 
 @dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(_Spec):
     """The execution layer: transcription fan-out, caching, front end.
 
     Attributes:
@@ -397,25 +490,6 @@ class PipelineSpec:
     workers: int | None = None
     cache: str = "shared"
     features: FeaturesSpec = field(default_factory=FeaturesSpec)
-
-    def to_dict(self) -> dict:
-        return {"workers": self.workers, "cache": self.cache,
-                "features": self.features.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "pipeline") -> "PipelineSpec":
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: dict = {}
-        if "workers" in data:
-            kwargs["workers"] = _coerce(data["workers"], int,
-                                        f"{path}.workers", none_ok=True)
-        if "cache" in data:
-            kwargs["cache"] = _coerce(data["cache"], str, f"{path}.cache")
-        if "features" in data:
-            kwargs["features"] = FeaturesSpec.from_dict(data["features"],
-                                                        f"{path}.features")
-        return cls(**kwargs)
 
     def problems(self, path: str = "pipeline") -> list[str]:
         from repro.caching import check_cache_policy
@@ -434,7 +508,7 @@ class PipelineSpec:
 
 # ------------------------------------------------------------------- serving
 @dataclass(frozen=True)
-class ServingSpec:
+class ServingSpec(_Spec):
     """The serving layer: stream windowing, the detection service pool.
 
     The stream fields mirror :class:`repro.serving.chunker.StreamConfig`;
@@ -463,30 +537,6 @@ class ServingSpec:
     #: and wholesale when shared memory is unavailable; ``"pickle"``
     #: ships the full sample arrays through the queues.
     transport: str = "shm"
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "serving") -> "ServingSpec":
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: dict = {}
-        for name, kind, none_ok in (
-                ("window_seconds", float, False),
-                ("hop_seconds", float, True),
-                ("min_tail_fraction", float, False),
-                ("trigger_windows", int, False),
-                ("release_windows", int, False),
-                ("max_batch_size", int, False),
-                ("workers", int, False),
-                ("queue_depth", int, False),
-                ("request_timeout_seconds", float, True),
-                ("transport", str, False)):
-            if name in data:
-                kwargs[name] = _coerce(data[name], kind, f"{path}.{name}",
-                                       none_ok=none_ok)
-        return cls(**kwargs)
 
     def stream_config(self):
         """The equivalent :class:`~repro.serving.chunker.StreamConfig`."""
@@ -524,7 +574,7 @@ class ServingSpec:
 
 # ------------------------------------------------------------------ training
 @dataclass(frozen=True)
-class TrainingSpec:
+class TrainingSpec(_Spec):
     """How the classifier is fitted.
 
     Attributes:
@@ -542,23 +592,6 @@ class TrainingSpec:
     seed: int = DEFAULT_SEED
     source: str = "auto"
 
-    def to_dict(self) -> dict:
-        return {"scale": self.scale, "seed": self.seed, "source": self.source}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "training") -> "TrainingSpec":
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: dict = {}
-        if "scale" in data:
-            kwargs["scale"] = _coerce(data["scale"], str, f"{path}.scale",
-                                      none_ok=True)
-        if "seed" in data:
-            kwargs["seed"] = _coerce(data["seed"], int, f"{path}.seed")
-        if "source" in data:
-            kwargs["source"] = _coerce(data["source"], str, f"{path}.source")
-        return cls(**kwargs)
-
     def problems(self, path: str = "training") -> list[str]:
         out = []
         if self.scale is not None and self.scale not in SCALE_NAMES:
@@ -572,28 +605,29 @@ class TrainingSpec:
 
 # ---------------------------------------------------------------- env overlay
 #: ``REPRO_*`` variables folded onto a spec by
-#: :meth:`DetectorSpec.with_env_overlay`: variable name ->
-#: (dotted spec path, parser).  One table instead of scattered
-#: ``os.environ`` reads; environment values win over config-file values.
-ENV_OVERLAYS: dict[str, tuple[str, Callable[[str], Any]]] = {
-    "REPRO_SCALE": ("training.scale", str),
-    "REPRO_WORKERS": ("pipeline.workers", int),
-    "REPRO_TRANSCRIPTION_CACHE": ("pipeline.cache", str),
-    "REPRO_FEATURE_BACKEND": ("pipeline.features.backend", str),
-    "REPRO_FEATURE_CACHE": ("pipeline.features.cache", str),
-    "REPRO_SCORE_CACHE": ("scoring.cache", str),
-    "REPRO_SCORER": ("scoring.scorer", str),
-    "REPRO_CLASSIFIER": ("classifier.name", str),
-    "REPRO_SERVE_WORKERS": ("serving.workers", int),
-    "REPRO_SERVE_QUEUE": ("serving.queue_depth", int),
-    "REPRO_SERVE_TIMEOUT": ("serving.request_timeout_seconds", float),
-    "REPRO_SERVE_TRANSPORT": ("serving.transport", str),
+#: :meth:`DetectorSpec.with_env_overlay`: variable name -> dotted spec
+#: path, whose annotation parses the value.  One table instead of
+#: scattered ``os.environ`` reads; environment values win over
+#: config-file values.
+ENV_OVERLAYS: dict[str, str] = {
+    "REPRO_SCALE": "training.scale",
+    "REPRO_WORKERS": "pipeline.workers",
+    "REPRO_TRANSCRIPTION_CACHE": "pipeline.cache",
+    "REPRO_FEATURE_BACKEND": "pipeline.features.backend",
+    "REPRO_FEATURE_CACHE": "pipeline.features.cache",
+    "REPRO_SCORE_CACHE": "scoring.cache",
+    "REPRO_SCORER": "scoring.scorer",
+    "REPRO_CLASSIFIER": "classifier.name",
+    "REPRO_SERVE_WORKERS": "serving.workers",
+    "REPRO_SERVE_QUEUE": "serving.queue_depth",
+    "REPRO_SERVE_TIMEOUT": "serving.request_timeout_seconds",
+    "REPRO_SERVE_TRANSPORT": "serving.transport",
 }
 
 
 # ------------------------------------------------------------- detector spec
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(_Spec):
     """A complete detection system, declaratively.
 
     Build one with :meth:`default` (the paper's presets), read one from
@@ -661,54 +695,11 @@ class DetectorSpec:
         )
 
     # ---------------------------------------------------------- serialisation
-    def to_dict(self) -> dict:
-        return {"suite": self.suite.to_dict(),
-                "scoring": self.scoring.to_dict(),
-                "classifier": self.classifier.to_dict(),
-                "pipeline": self.pipeline.to_dict(),
-                "serving": self.serving.to_dict(),
-                "training": self.training.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "detector") -> "DetectorSpec":
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        sections = {"suite": SuiteSpec, "scoring": ScoringSpec,
-                    "classifier": ClassifierSpec, "pipeline": PipelineSpec,
-                    "serving": ServingSpec, "training": TrainingSpec}
-        kwargs = {}
-        problems: list[str] = []
-        for name, section in sections.items():
-            if name in data:
-                try:
-                    kwargs[name] = section.from_dict(data[name],
-                                                     f"{path}.{name}")
-                except InvalidSpecError as exc:
-                    problems.extend(exc.problems)
-        if problems:
-            raise InvalidSpecError(problems)
-        return cls(**kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        """The spec as a JSON document (what :meth:`from_json` reads)."""
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
-
     def save(self, path: str) -> str:
         """Write the spec to a JSON file; returns ``path``."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
         return path
-
-    @classmethod
-    def from_json(cls, path: str) -> "DetectorSpec":
-        """Read a spec from the JSON file at ``path`` (strictly parsed)."""
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InvalidSpecError([f"{path}: not valid JSON: {exc}"]) \
-                    from exc
-        return cls.from_dict(data, path=os.path.basename(path))
 
     @classmethod
     def load(cls, path: str, env: Mapping[str, str] | None = None
@@ -724,21 +715,7 @@ class DetectorSpec:
         Environment values take precedence over the spec's current
         (e.g. file-loaded) values; unset variables change nothing.
         """
-        if env is None:
-            env = os.environ
-        spec = self
-        for variable, (dotted, parse) in ENV_OVERLAYS.items():
-            raw = env.get(variable)
-            if raw is None or raw == "":
-                continue
-            try:
-                value = parse(raw)
-            except (TypeError, ValueError):
-                raise InvalidSpecError(
-                    [f"${variable}: expected {parse.__name__}, "
-                     f"got {raw!r}"]) from None
-            spec = spec.with_value(dotted, value)
-        return spec
+        return _env_overlay(self, ENV_OVERLAYS, env)
 
     def with_value(self, dotted: str, value: Any) -> "DetectorSpec":
         """A copy with the field at ``dotted`` path replaced.
@@ -752,55 +729,22 @@ class DetectorSpec:
     # ------------------------------------------------------------ validation
     def problems(self) -> list[str]:
         """Every validation problem, one message per offending field."""
-        out = []
-        out.extend(self.suite.problems("suite"))
-        out.extend(self.scoring.problems("scoring"))
-        out.extend(self.classifier.problems("classifier"))
-        out.extend(self.pipeline.problems("pipeline"))
-        out.extend(self.serving.problems("serving"))
-        out.extend(self.training.problems("training"))
-        return out
-
-    def validate(self) -> "DetectorSpec":
-        """Raise :class:`InvalidSpecError` listing *all* problems; else self.
-
-        Validation of a given *instance* is memoised, so a spec threaded
-        through several builders (``build_streaming`` ->
-        ``StreamingDetector.from_spec`` -> ``build``) pays the registry
-        walk once.  Mutating a registry after an instance validated (a
-        test unregistering a plugin) does not re-flag that instance;
-        construct a fresh spec to re-check.
-        """
-        if id(self) in _VALIDATED_IDS:
-            return self
-        problems = self.problems()
-        if problems:
-            raise InvalidSpecError(problems)
-        _VALIDATED_IDS.add(id(self))
-        weakref.finalize(self, _VALIDATED_IDS.discard, id(self))
-        return self
-
-
-def _replace_path(node: Any, dotted: str, value: Any):
-    """Replace the field at ``dotted`` in a nested frozen-dataclass tree."""
-    head, _, rest = dotted.partition(".")
-    if not rest:
-        return replace(node, **{head: value})
-    return replace(node,
-                   **{head: _replace_path(getattr(node, head), rest, value)})
+        return [problem for section in fields(self)
+                for problem in getattr(self, section.name).problems(
+                    section.name)]
 
 
 # ----------------------------------------------------------- experiment spec
 #: ``REPRO_*`` variables folded onto an :class:`ExperimentSpec` by its
 #: :meth:`~ExperimentSpec.with_env_overlay` (the detector subtree gets
 #: the full :data:`ENV_OVERLAYS` table on top).
-EXPERIMENT_ENV_OVERLAYS: dict[str, tuple[str, Callable[[str], Any]]] = {
-    "REPRO_SCALE": ("scale", str),
+EXPERIMENT_ENV_OVERLAYS: dict[str, str] = {
+    "REPRO_SCALE": "scale",
 }
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(_Spec):
     """One experiment run, declaratively (see docs/EXPERIMENTS.md).
 
     Attributes:
@@ -826,56 +770,6 @@ class ExperimentSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
     detector: DetectorSpec = field(default_factory=DetectorSpec)
 
-    # ---------------------------------------------------------- serialisation
-    def to_dict(self) -> dict:
-        return {"experiment": self.experiment, "scale": self.scale,
-                "seed": self.seed, "workers": self.workers,
-                "params": dict(self.params),
-                "detector": self.detector.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "experiment") -> "ExperimentSpec":
-        data = _expect_mapping(data, path)
-        _check_keys(data, cls, path)
-        kwargs: dict = {}
-        if "experiment" in data:
-            kwargs["experiment"] = _coerce(data["experiment"], str,
-                                           f"{path}.experiment")
-        if "scale" in data:
-            kwargs["scale"] = _coerce(data["scale"], str, f"{path}.scale",
-                                      none_ok=True)
-        if "seed" in data:
-            kwargs["seed"] = _coerce(data["seed"], int, f"{path}.seed")
-        if "workers" in data:
-            kwargs["workers"] = _coerce(data["workers"], int,
-                                        f"{path}.workers")
-        if "params" in data:
-            params = _expect_mapping(data["params"], f"{path}.params")
-            bad = [key for key in params if not isinstance(key, str)]
-            if bad:
-                raise InvalidSpecError(
-                    [f"{path}.params: parameter names must be strings, "
-                     f"got {key!r}" for key in bad])
-            kwargs["params"] = dict(params)
-        if "detector" in data:
-            kwargs["detector"] = DetectorSpec.from_dict(data["detector"],
-                                                        f"{path}.detector")
-        return cls(**kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
-
-    @classmethod
-    def from_json(cls, path: str) -> "ExperimentSpec":
-        """Read a spec from the JSON file at ``path`` (strictly parsed)."""
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InvalidSpecError([f"{path}: not valid JSON: {exc}"]) \
-                    from exc
-        return cls.from_dict(data, path=os.path.basename(path))
-
     # -------------------------------------------------------------- overlays
     def with_env_overlay(self, env: Mapping[str, str] | None = None
                          ) -> "ExperimentSpec":
@@ -885,20 +779,7 @@ class ExperimentSpec:
         :data:`ENV_OVERLAYS` table overlays the detector subtree, so
         e.g. ``REPRO_CLASSIFIER`` reaches detector-building experiments.
         """
-        if env is None:
-            env = os.environ
-        spec = self
-        for variable, (dotted, parse) in EXPERIMENT_ENV_OVERLAYS.items():
-            raw = env.get(variable)
-            if raw is None or raw == "":
-                continue
-            try:
-                value = parse(raw)
-            except (TypeError, ValueError):
-                raise InvalidSpecError(
-                    [f"${variable}: expected {parse.__name__}, "
-                     f"got {raw!r}"]) from None
-            spec = spec.with_value(dotted, value)
+        spec = _env_overlay(self, EXPERIMENT_ENV_OVERLAYS, env)
         return replace(spec, detector=spec.detector.with_env_overlay(env))
 
     def with_value(self, dotted: str, value: Any) -> "ExperimentSpec":
@@ -909,11 +790,6 @@ class ExperimentSpec:
         (``"detector.scoring.scorer"``); top-level fields are plain
         names (``"scale"``).
         """
-        head, _, rest = dotted.partition(".")
-        if head == "params" and rest:
-            params = dict(self.params)
-            params[rest] = value
-            return replace(self, params=params)
         return _replace_path(self, dotted, value)
 
     # ------------------------------------------------------------ validation
@@ -944,20 +820,9 @@ class ExperimentSpec:
         out.extend(self.detector.problems())
         return out
 
-    def validate(self) -> "ExperimentSpec":
-        """Raise :class:`InvalidSpecError` listing *all* problems; else self."""
-        if id(self) in _VALIDATED_IDS:
-            return self
-        problems = self.problems()
-        if problems:
-            raise InvalidSpecError(problems)
-        _VALIDATED_IDS.add(id(self))
-        weakref.finalize(self, _VALIDATED_IDS.discard, id(self))
-        return self
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Spec):
     """A grid of spec overlays over one base :class:`ExperimentSpec`.
 
     The JSON form is an experiment spec plus a ``"grid"`` object (and an
@@ -972,6 +837,7 @@ class SweepSpec:
     name: str = ""
 
     # ---------------------------------------------------------- serialisation
+    # The flat form: the base experiment's fields, plus "grid" and "name".
     def to_dict(self) -> dict:
         payload = self.base.to_dict()
         payload["grid"] = {dotted: list(values)
@@ -981,40 +847,26 @@ class SweepSpec:
         return payload
 
     @classmethod
-    def from_dict(cls, data: Any, path: str = "sweep") -> "SweepSpec":
-        data = dict(_expect_mapping(data, path))
-        name = _coerce(data.pop("name", ""), str, f"{path}.name")
-        raw_grid = data.pop("grid", {})
-        grid_map = _expect_mapping(raw_grid, f"{path}.grid")
-        problems: list[str] = []
+    def _from_mapping(cls, data: Mapping, path: str, problems: list[str]):
+        before = len(problems)
+        data = dict(data)
+        name = _decode(str, data.pop("name", ""), f"{path}.name", problems)
+        grid_map = _decode(Mapping[str, Any], data.pop("grid", {}),
+                           f"{path}.grid", problems)
         grid: list[tuple[str, tuple]] = []
         for dotted, values in grid_map.items():
             if not isinstance(values, Sequence) or isinstance(values, str):
                 problems.append(f"{path}.grid.{dotted}: expected a list of "
                                 f"values, got {values!r}")
-                continue
-            if not values:
+            elif not values:
                 problems.append(f"{path}.grid.{dotted}: must list at least "
                                 f"one value")
-                continue
-            grid.append((str(dotted), tuple(values)))
-        if problems:
-            raise InvalidSpecError(problems)
-        base = ExperimentSpec.from_dict(data, path)
+            else:
+                grid.append((str(dotted), tuple(values)))
+        base = _decode(ExperimentSpec, data, path, problems)
+        if len(problems) > before:
+            return None
         return cls(base=base, grid=tuple(grid), name=name)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
-
-    @classmethod
-    def from_json(cls, path: str) -> "SweepSpec":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InvalidSpecError([f"{path}: not valid JSON: {exc}"]) \
-                    from exc
-        return cls.from_dict(data, path=os.path.basename(path))
 
     # ------------------------------------------------------------- expansion
     def with_env_overlay(self, env: Mapping[str, str] | None = None
@@ -1071,17 +923,6 @@ class SweepSpec:
             bad = ", ".join(dotted for dotted, _ in self.grid)
             out.append(f"{path}.grid: cannot apply overlay ({bad}): {exc}")
             return []
-
-    def validate(self) -> "SweepSpec":
-        """Raise :class:`InvalidSpecError` listing *all* problems; else self."""
-        if id(self) in _VALIDATED_IDS:
-            return self
-        problems = self.problems()
-        if problems:
-            raise InvalidSpecError(problems)
-        _VALIDATED_IDS.add(id(self))
-        weakref.finalize(self, _VALIDATED_IDS.discard, id(self))
-        return self
 
 
 @dataclass(frozen=True)

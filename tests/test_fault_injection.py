@@ -10,6 +10,8 @@ workers, retried bystanders, no hung futures, no raw exceptions.
 from __future__ import annotations
 
 import logging
+import multiprocessing.connection
+import threading
 import time
 from types import SimpleNamespace
 
@@ -341,3 +343,37 @@ def test_failed_cache_refresh_logs_a_warning_and_flags_results(
     [(worker_id, key, payload)] = sent
     assert (worker_id, key) == (0, 1)
     assert payload["ok"] and payload["cache_refresh_failed"]
+
+
+# ------------------------------------------------------------ collector
+
+
+@pytest.mark.timeout(60)
+def test_collector_failure_resolves_outstanding_requests_as_500(
+        monkeypatch, caplog):
+    real_wait = multiprocessing.connection.wait
+    armed = threading.Event()
+
+    def wait(object_list, timeout=None):
+        if armed.is_set() and threading.current_thread().name == "serve-collect":
+            raise OSError("injected wait fault")
+        return real_wait(object_list, timeout)
+
+    with caplog.at_level(logging.ERROR, logger=service_module.__name__):
+        with _service() as service:
+            assert service.submit("t", make_clip()).result(timeout=30).ok
+            monkeypatch.setattr(multiprocessing.connection, "wait", wait)
+            stuck = service.submit("t", make_clip({"hang": 3.0}))
+            time.sleep(0.3)
+            armed.set()
+            service._wake_w.send_bytes(b"r")    # end the collector's wait
+            result = stuck.result(timeout=10)
+            assert service.stats.collector_failures == 1
+    assert result.status == "error" and result.code == 500
+    assert result.detail == ("result collector failed: OSError: "
+                             "injected wait fault")
+    assert "result collector failed: OSError: injected wait fault" \
+        in caplog.text
+    # stop() finds nothing left to resolve and does not count again.
+    assert service.stats.collector_failures == 1
+    assert service.stats.errors == 1

@@ -87,8 +87,21 @@ def test_env_overlay_wins_over_file_values(tmp_path):
 
 
 def test_env_overlay_reports_bad_values():
-    with pytest.raises(InvalidSpecError, match="REPRO_WORKERS"):
+    with pytest.raises(InvalidSpecError, match="REPRO_WORKERS") as excinfo:
         DetectorSpec.default().with_env_overlay({"REPRO_WORKERS": "many"})
+    assert excinfo.value.problems == ("$REPRO_WORKERS: expected int, "
+                                      "got 'many'",)
+
+
+def test_env_overlay_parses_each_value_at_its_field_type():
+    spec = DetectorSpec().with_env_overlay(
+        {"REPRO_WORKERS": "3", "REPRO_SERVE_TIMEOUT": "2.5",
+         "REPRO_SERVE_QUEUE": "16", "REPRO_SCALE": "tiny", "REPRO_SCORER": ""})
+    assert spec.pipeline.workers == 3
+    assert spec.serving.request_timeout_seconds == 2.5
+    assert spec.serving.queue_depth == 16
+    assert spec.training.scale == "tiny"
+    assert spec.scoring == ScoringSpec()
 
 
 def test_with_value_replaces_one_leaf():
@@ -133,6 +146,57 @@ def test_from_dict_rejects_unknown_fields():
     with pytest.raises(InvalidSpecError,
                        match="scoring: unknown field 'backend'"):
         DetectorSpec.from_dict({"scoring": {"backend": "fast"}})
+
+
+@pytest.mark.parametrize("data,problems", [
+    ({"serving": {"workers": "x", "queue_depth": "y"}},
+     ["detector.serving.workers: expected int, got 'x'",
+      "detector.serving.queue_depth: expected int, got 'y'"]),
+    ({"suite": {"target": 5.5, "auxiliaries": "DS1"}},
+     ["detector.suite.target: expected an object, got float",
+      "detector.suite.auxiliaries: expected a list, got 'DS1'"]),
+])
+def test_from_dict_reports_every_bad_field_in_a_section(data, problems):
+    with pytest.raises(InvalidSpecError) as excinfo:
+        DetectorSpec.from_dict(data)
+    assert list(excinfo.value.problems) == problems
+
+
+@pytest.mark.parametrize("data,problem", [
+    ({"pipeline": None}, "detector.pipeline: expected an object, got NoneType"),
+    ({"classifier": 5}, "detector.classifier: expected an object, got int"),
+    ({"classifier": {"name": None}}, "detector.classifier.name: must not be null"),
+    ({"serving": {"window_seconds": None}},
+     "detector.serving.window_seconds: must not be null"),
+    ({"suite": {"auxiliaries": None}},
+     "detector.suite.auxiliaries: expected a list, got None"),
+    ({"suite": {"auxiliaries": [{"transform": "quantize:8"}]}},
+     "detector.suite.auxiliaries[0]: missing required field 'name'"),
+    ({"suite": {"auxiliaries": [{"name": "DS0", "transform": 5}]}},
+     "detector.suite.auxiliaries[0].transform: expected a transform spec "
+     "string, got 5"),
+    ({"training": {"seed": "1.5"}},
+     "detector.training.seed: expected int, got '1.5'"),
+])
+def test_from_dict_problem_messages(data, problem):
+    with pytest.raises(InvalidSpecError) as excinfo:
+        DetectorSpec.from_dict(data)
+    assert list(excinfo.value.problems) == [problem]
+
+
+def test_from_dict_accepts_shorthands_and_nulls_where_annotated():
+    spec = DetectorSpec.from_dict({
+        "suite": {"target": "DS0",
+                  "auxiliaries": ["DS1", {"name": "DS0", "transform": None}]},
+        "classifier": "KNN",
+        "pipeline": {"workers": None},
+        "serving": {"hop_seconds": None, "request_timeout_seconds": None},
+        "training": {"scale": None, "seed": "7"}})
+    assert spec.suite.auxiliaries == (ASRSpec("DS1"), ASRSpec("DS0"))
+    assert spec.classifier.name == "KNN"
+    assert spec.pipeline.workers is None
+    assert spec.serving.request_timeout_seconds is None
+    assert spec.training.seed == 7
 
 
 def test_empty_auxiliaries_is_invalid():
