@@ -789,7 +789,9 @@ class DetectionService:
         ``stop()`` pings to shut the loop down.  A dead worker's pipe
         reads EOF once drained (the worker held the only write end)
         and is retired here — its in-flight requests are the
-        dispatcher's business, not ours.
+        dispatcher's business, not ours.  A failing ``wait()`` or wake
+        pipe ends the loop; outside ``stop()`` that is a collector
+        failure (see :meth:`_collector_failed`).
         """
         while not self._stopping.is_set():
             conns = list(self._result_conns)

@@ -221,6 +221,8 @@ class _Spec:
 
     @classmethod
     def from_dict(cls, data: Any, path: str | None = None):
+        """Parse the :meth:`to_dict` form strictly; raise
+        :class:`InvalidSpecError` listing every bad field."""
         if path is None:
             path = cls._path or cls.__name__.removesuffix("Spec").lower()
         return _read(cls, data, path)
