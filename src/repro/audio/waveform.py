@@ -4,13 +4,24 @@ A waveform is an immutable wrapper around a 1-D float64 sample array in
 ``[-1, 1]`` plus a sample rate and optional ground-truth text.  All audio in
 the library — synthesised benign speech, adversarial examples, noisy
 variants — flows through this type.
+
+The samples are frozen read-only at ingest, which is what lets a
+waveform hash its content once (:attr:`Waveform.fingerprint`) and hand
+that one digest to every content-addressed cache.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from repro.caching import audio_fingerprint
+
+#: Serialises first computations of a fingerprint, so the suite members
+#: a pool fans one new clip out to hash it once between them.
+_FINGERPRINT_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -18,7 +29,11 @@ class Waveform:
     """An audio clip.
 
     Attributes:
-        samples: 1-D float64 array of samples, nominally in ``[-1, 1]``.
+        samples: 1-D float64 array of samples, nominally in ``[-1, 1]``;
+            read-only.  A writeable input array is copied once, so a
+            caller who later writes to the array they passed in cannot
+            change the waveform; a read-only input (a shared-memory
+            view, a cached array) is wrapped without a copy.
         sample_rate: sampling rate in Hz.
         text: ground-truth transcription (empty if unknown).
         label: free-form tag ("benign", "whitebox-ae", ...).
@@ -36,14 +51,46 @@ class Waveform:
         # Normalise to C-contiguous float64 exactly once at ingest, so
         # shared-memory copies, content hashing and DSP framing can all
         # assume a flat buffer and never re-convert per stage.  For an
-        # already-contiguous float64 array (including read-only
-        # shared-memory views) this is a no-copy passthrough.
-        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        # already-contiguous float64 array this is a no-copy passthrough;
+        # a writeable one that the caller still holds is then copied, so
+        # freezing never reaches the caller's array.
+        given = self.samples
+        samples = np.ascontiguousarray(given, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("Waveform samples must be one-dimensional")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if samples.flags.writeable:
+            if isinstance(given, np.ndarray) \
+                    and np.may_share_memory(samples, given):
+                samples = samples.copy()
+            samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling rebuilds the samples as a fresh writeable array
+        # without calling __init__; freeze it again.
+        self.__dict__.update(state)
+        self.samples.flags.writeable = False
+
+    @property
+    def fingerprint(self) -> str:
+        """Content hash of the samples and the sample rate.
+
+        Computed on first use and kept: every content-cache key (see
+        ``docs/ARCHITECTURE.md``, "Content caches") derives from it, so
+        a clip is hashed once however many caches and suite members
+        look it up.  The value is
+        :func:`repro.caching.audio_fingerprint` of this clip.
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            with _FINGERPRINT_LOCK:
+                cached = self.__dict__.get("_fingerprint")
+                if cached is None:
+                    cached = audio_fingerprint(self.samples, self.sample_rate)
+                    object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     # ------------------------------------------------------------ properties
     def __len__(self) -> int:
@@ -76,13 +123,31 @@ class Waveform:
         return replace(self, samples=np.asarray(samples, dtype=np.float64),
                        metadata=merged)
 
+    def rehomed(self, samples: np.ndarray) -> "Waveform":
+        """This clip on another buffer holding the same samples.
+
+        For moving a clip onto shared pages: the caller vouches that
+        ``samples`` equals :attr:`samples`, so a fingerprint already
+        computed carries over instead of being computed again.
+        """
+        return self._same_audio(samples=samples)
+
     def with_text(self, text: str) -> "Waveform":
         """Return a copy with a different ground-truth text."""
-        return replace(self, text=text)
+        return self._same_audio(text=text)
 
     def with_label(self, label: str) -> "Waveform":
         """Return a copy with a different label."""
-        return replace(self, label=label)
+        return self._same_audio(label=label)
+
+    def _same_audio(self, **changes) -> "Waveform":
+        """``replace(self, **changes)`` for changes that keep the audio
+        content: a fingerprint already computed carries over."""
+        copy = replace(self, **changes)
+        known = self.__dict__.get("_fingerprint")
+        if known is not None:
+            object.__setattr__(copy, "_fingerprint", known)
+        return copy
 
     def clipped(self, limit: float = 1.0) -> "Waveform":
         """Return a copy with samples clipped to ``[-limit, limit]``."""

@@ -38,9 +38,10 @@ from repro.store import (
 def audio_fingerprint(samples: np.ndarray, sample_rate: int) -> str:
     """Content hash identifying one clip's audio (samples + rate)."""
     digest = hashlib.sha1()
-    # tobytes() always yields the C-order buffer, so the hash does not
-    # depend on the array's memory layout.
-    digest.update(np.asarray(samples).tobytes())
+    # Hash the C-order buffer, so the digest does not depend on the
+    # array's memory layout.  A C-contiguous array (every Waveform's
+    # samples) is hashed in place; only other layouts are copied.
+    digest.update(np.ascontiguousarray(samples).data)
     digest.update(str(int(sample_rate)).encode("ascii"))
     return digest.hexdigest()
 

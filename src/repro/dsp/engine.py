@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.audio.waveform import Waveform
 from repro.caching import CacheStats
 from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.features import FeatureExtractor
@@ -81,23 +82,23 @@ class FeatureEngine:
             return CacheStats()
         return self.cache.stats
 
-    def features(self, extractor: FeatureExtractor, samples: np.ndarray,
-                 sample_rate: int) -> np.ndarray:
+    def features(self, extractor: FeatureExtractor,
+                 audio: Waveform) -> np.ndarray:
         """Feature matrix of one clip, served from the cache when possible."""
         tag = extractor.cache_tag
         if self.cache is None or tag is None:
-            return extractor.transform(samples)
-        key = FeatureCache.key_for(tag, samples, sample_rate)
+            return extractor.transform(audio.samples)
+        key = FeatureCache.clip_key(tag, audio)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        value = extractor.transform(samples)
+        value = extractor.transform(audio.samples)
         self.cache.put(key, value)
         return value
 
     def prewarm(self, extractor: FeatureExtractor,
-                clips: list[tuple[np.ndarray, int]]) -> int:
-        """Fill the cache for a batch of ``(samples, sample_rate)`` clips.
+                clips: list[Waveform]) -> int:
+        """Fill the cache for a batch of clips.
 
         Missing clips are computed through the *batched* path (one
         stacked front-end pass); clips already cached are skipped.
@@ -107,10 +108,10 @@ class FeatureEngine:
         if self.cache is None or tag is None:
             return 0
         missing: dict[str, np.ndarray] = {}
-        for samples, sample_rate in clips:
-            key = FeatureCache.key_for(tag, samples, sample_rate)
+        for audio in clips:
+            key = FeatureCache.clip_key(tag, audio)
             if key not in missing and self.cache.get(key) is None:
-                missing[key] = samples
+                missing[key] = audio.samples
         if missing:
             values = extractor.transform_batch(list(missing.values()))
             for key, value in zip(missing, values):

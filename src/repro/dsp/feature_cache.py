@@ -13,9 +13,10 @@ text content (:class:`~repro.similarity.score_cache.PairScoreCache`);
 this module gives the feature layer the same treatment.
 
 The cache key is the extractor's configuration tag
-(:attr:`~repro.dsp.features.FeatureExtractor.cache_tag`) plus a content
-hash of the raw samples and the sample rate, so two clips with identical
-audio share one entry regardless of where the audio came from.  Storage
+(:attr:`~repro.dsp.features.FeatureExtractor.cache_tag`) plus the clip's
+content hash (:attr:`~repro.audio.waveform.Waveform.fingerprint`: the
+raw samples and the sample rate), so two clips with identical audio
+share one entry regardless of where the audio came from.  Storage
 is a :class:`~repro.caching.ContentCache`, optionally on disk
 (:func:`~repro.caching.array_store`).  Cached matrices are stored
 read-only so a consumer cannot corrupt entries that later lookups will
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.caching import ContentCache, array_store, audio_fingerprint
+from repro.audio.waveform import Waveform
+from repro.caching import ContentCache, array_store
 
 
 def _frozen(value: np.ndarray) -> np.ndarray:
@@ -55,13 +57,20 @@ class FeatureCache(ContentCache):
         return _frozen(np.asarray(payload, dtype=np.float64))
 
     @staticmethod
-    def key_for(extractor_tag: str, samples: np.ndarray,
-                sample_rate: int) -> str:
+    def clip_key(extractor_tag: str, audio: Waveform) -> str:
         """Cache key of one (front-end configuration, clip) combination.
 
         ``extractor_tag`` is a front-end configuration tag (see
         :attr:`~repro.dsp.features.FeatureExtractor.cache_tag`); two
         extractors with equal tags share entries by design — that is the
-        cross-suite-member sharing win.
+        cross-suite-member sharing win.  The clip part is the
+        waveform's memoised fingerprint, so no lookup hashes again.
         """
-        return f"{extractor_tag}:{audio_fingerprint(samples, sample_rate)}"
+        return f"{extractor_tag}:{audio.fingerprint}"
+
+    @staticmethod
+    def key_for(extractor_tag: str, samples: np.ndarray,
+                sample_rate: int) -> str:
+        """:meth:`clip_key` of a bare sample array at ``sample_rate``."""
+        return FeatureCache.clip_key(extractor_tag,
+                                     Waveform(samples, sample_rate))

@@ -300,7 +300,6 @@ def _intern_shared_samples(experiment) -> None:
         return
     from dataclasses import replace
 
-    from repro.caching import audio_fingerprint
     try:
         bundle = experiment.bundle()
     except Exception as exc:
@@ -314,12 +313,10 @@ def _intern_shared_samples(experiment) -> None:
             audio = sample.waveform
             if arena.owns(audio.samples):
                 continue
-            view = arena.intern(audio_fingerprint(audio.samples,
-                                                  audio.sample_rate),
-                                audio.samples)
+            view = arena.intern(audio.fingerprint, audio.samples)
             if view is not None:
-                collection[index] = replace(
-                    sample, waveform=replace(audio, samples=view))
+                collection[index] = replace(sample,
+                                            waveform=audio.rehomed(view))
 
 
 def _shard_worker(experiment, units: list[tuple[int, WorkUnit]],

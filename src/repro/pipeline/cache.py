@@ -6,8 +6,9 @@ experiment table re-reads the same dataset bundle, the overhead benchmark
 replays clips the scored dataset already saw, and a deployed detector
 screens repeated audio (replayed commands, re-submitted uploads).
 
-The cache key is a content hash of the raw samples plus the sample rate
-and the ASR's identity (``name`` and ``short_name``), so two
+The cache key is the clip's content hash
+(:attr:`~repro.audio.waveform.Waveform.fingerprint`: the raw samples
+plus the sample rate, computed once per waveform) and the ASR's identity (``name`` and ``short_name``), so two
 :class:`~repro.audio.waveform.Waveform` instances with identical audio
 share one cache entry regardless of label or metadata.  Simulated ASRs
 are deterministic — the same samples always decode to the same
@@ -27,7 +28,7 @@ import json
 
 from repro.asr.base import Transcription
 from repro.audio.waveform import Waveform
-from repro.caching import ContentCache, audio_fingerprint
+from repro.caching import ContentCache
 
 
 def _transcription_to_json(result: Transcription) -> dict:
@@ -77,5 +78,4 @@ class TranscriptionCache(ContentCache):
         and ``short_name`` together identify the system (see the module
         docstring for the same-name caveat).
         """
-        return (f"{asr.short_name}|{asr.name}:"
-                f"{audio_fingerprint(audio.samples, audio.sample_rate)}")
+        return f"{asr.short_name}|{asr.name}:{audio.fingerprint}"

@@ -29,12 +29,12 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from repro.asr.base import ASRSystem, Transcription
 from repro.audio.waveform import Waveform
-from repro.caching import CacheStats, audio_fingerprint
+from repro.caching import CacheStats
 from repro.pipeline.cache import TranscriptionCache
 
 #: Environment variable overriding the default worker-pool size.
@@ -241,8 +241,6 @@ class TranscriptionEngine:
         Returns a snapshot copy, so callers can diff before/after values
         around a batch (the live stats object mutates in place).
         """
-        from dataclasses import replace
-
         if self.feature_engine is None:
             return CacheStats()
         return replace(self.feature_engine.stats)
@@ -291,8 +289,8 @@ class TranscriptionEngine:
         """One decode, routed through the feature engine when possible."""
         if self.feature_engine is not None \
                 and asr.supports_precomputed_features:
-            features = self.feature_engine.features(
-                asr.feature_extractor, audio.samples, audio.sample_rate)
+            features = self.feature_engine.features(asr.feature_extractor,
+                                                    audio)
             return asr.transcribe_with_features(audio, features)
         return asr.transcribe(audio)
 
@@ -315,11 +313,8 @@ class TranscriptionEngine:
             if arena.owns(audio.samples):
                 adopted.append(audio)
                 continue
-            view = arena.intern(audio_fingerprint(audio.samples,
-                                                  audio.sample_rate),
-                                audio.samples)
-            adopted.append(audio if view is None
-                           else replace(audio, samples=view))
+            view = arena.intern(audio.fingerprint, audio.samples)
+            adopted.append(audio if view is None else audio.rehomed(view))
         return adopted
 
     def _prewarm_features(self, audios: list[Waveform]) -> None:
@@ -334,7 +329,7 @@ class TranscriptionEngine:
         for asr in self.asr_suite:
             if not asr.supports_precomputed_features:
                 continue
-            clips = [(audio.samples, audio.sample_rate) for audio in audios
+            clips = [audio for audio in audios
                      if self.cache is None
                      or TranscriptionCache.key_for(asr, audio) not in self.cache]
             if clips:

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.audio.waveform import Waveform
 from repro.dsp.features import FeatureExtractor
 from repro.dsp.mel import _band_edges
 
@@ -62,9 +63,9 @@ class ReferenceFeatureBackend:
 
     name = "reference"
 
-    def features(self, extractor: FeatureExtractor, samples: np.ndarray,
-                 sample_rate: int) -> np.ndarray:
-        return extractor.transform(samples)
+    def features(self, extractor: FeatureExtractor,
+                 audio: Waveform) -> np.ndarray:
+        return extractor.transform(audio.samples)
 
     def features_batch(self, extractor: FeatureExtractor,
                        batch: list[np.ndarray]) -> list[np.ndarray]:

@@ -49,6 +49,7 @@ def test_cache_key_includes_tag_and_content():
     assert key == f"mfcc:test:{audio_fingerprint(samples, SR)}"
     assert key != FeatureCache.key_for("lpc:test", samples, SR)
     assert key != FeatureCache.key_for("mfcc:test", samples, 8_000)
+    assert key == FeatureCache.clip_key("mfcc:test", Waveform(samples, SR))
 
 
 # One value per cache kind: the LRU and its accounting are shared code.
@@ -152,24 +153,24 @@ def test_resolve_feature_cache_policies(tmp_path):
 def test_engine_caches_and_shares_across_equal_tags():
     cache = FeatureCache()
     engine = FeatureEngine(cache=cache)
-    samples = _clip(1)
+    audio = Waveform(_clip(1), SR)
     first = MfccFeatureExtractor()
     twin = MfccFeatureExtractor()                       # same configuration
     assert first.cache_tag == twin.cache_tag
-    computed = engine.features(first, samples, SR)
+    computed = engine.features(first, audio)
     assert cache.stats.misses == 1
-    shared = engine.features(twin, samples, SR)         # cross-member share
+    shared = engine.features(twin, audio)               # cross-member share
     assert cache.stats.hits == 1
     assert np.array_equal(computed, shared)
-    assert np.array_equal(computed, first.transform(samples))
+    assert np.array_equal(computed, first.transform(audio.samples))
 
 
 def test_engine_distinct_tags_do_not_collide():
     cache = FeatureCache()
     engine = FeatureEngine(cache=cache)
-    samples = _clip(2)
-    mfcc = engine.features(MfccFeatureExtractor(), samples, SR)
-    logmel = engine.features(LogMelFeatureExtractor(), samples, SR)
+    audio = Waveform(_clip(2), SR)
+    mfcc = engine.features(MfccFeatureExtractor(), audio)
+    logmel = engine.features(LogMelFeatureExtractor(), audio)
     assert cache.stats.misses == 2
     assert mfcc.shape != logmel.shape
 
@@ -182,14 +183,14 @@ def test_engine_skips_untagged_extractors():
 
     cache = FeatureCache()
     engine = FeatureEngine(cache=cache)
-    engine.features(Anonymous(), _clip(3), SR)
+    engine.features(Anonymous(), Waveform(_clip(3), SR))
     assert len(cache) == 0
     assert cache.stats.lookups == 0
 
 
 def test_engine_without_cache_reports_zero_stats():
     engine = FeatureEngine(cache=None)
-    engine.features(MfccFeatureExtractor(), _clip(4), SR)
+    engine.features(MfccFeatureExtractor(), Waveform(_clip(4), SR))
     assert engine.stats.lookups == 0
 
 
@@ -197,16 +198,16 @@ def test_prewarm_dedupes_and_feeds_later_lookups():
     cache = FeatureCache()
     engine = FeatureEngine(cache=cache)
     extractor = MfccFeatureExtractor()
-    a, b = _clip(5), _clip(6, length=900)
-    computed = engine.prewarm(extractor, [(a, SR), (b, SR), (a, SR)])
+    a, b = Waveform(_clip(5), SR), Waveform(_clip(6, length=900), SR)
+    computed = engine.prewarm(extractor, [a, b, a])
     assert computed == 2                                # duplicate a deduped
     before_hits = cache.stats.hits
-    assert np.array_equal(engine.features(extractor, a, SR),
-                          extractor.transform(a))
-    assert np.array_equal(engine.features(extractor, b, SR),
-                          extractor.transform(b))
+    assert np.array_equal(engine.features(extractor, a),
+                          extractor.transform(a.samples))
+    assert np.array_equal(engine.features(extractor, b),
+                          extractor.transform(b.samples))
     assert cache.stats.hits == before_hits + 2
-    assert engine.prewarm(extractor, [(a, SR), (b, SR)]) == 0  # already warm
+    assert engine.prewarm(extractor, [a, b]) == 0       # already warm
 
 
 # ------------------------------------------------------------- spec surface

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from oracles.dsp import ReferenceFeatureBackend
+from repro.audio.waveform import Waveform
 from repro.dsp.engine import FeatureEngine
 from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.features import LpcFeatureExtractor, MfccFeatureExtractor
@@ -54,7 +55,8 @@ def test_backends_reproduce_golden_features(golden, extractors, backend_name,
                "fast": FeatureEngine(cache=False)}[backend_name]
     extractor = extractors[family]
     for i in range(N_UTTERANCES):
-        features = backend.features(extractor, golden[f"samples_{i}"], 16_000)
+        features = backend.features(
+            extractor, Waveform(golden[f"samples_{i}"], 16_000))
         assert features.dtype == np.float64
         assert np.array_equal(features, golden[f"{family}_{i}"]), \
             f"{backend_name} backend diverged from golden {family} " \
@@ -69,9 +71,9 @@ def test_batched_path_reproduces_golden_features(golden, extractors, family):
         assert np.array_equal(features, golden[f"{family}_{i}"])
     # The engine's prewarm path fills its cache through the same batch.
     engine = FeatureEngine(cache=FeatureCache())
-    assert engine.prewarm(extractor, [(clip, 16_000) for clip in batch]) \
-        == N_UTTERANCES
-    for i, clip in enumerate(batch):
-        assert np.array_equal(engine.features(extractor, clip, 16_000),
+    clips = [Waveform(samples, 16_000) for samples in batch]
+    assert engine.prewarm(extractor, clips) == N_UTTERANCES
+    for i, clip in enumerate(clips):
+        assert np.array_equal(engine.features(extractor, clip),
                               golden[f"{family}_{i}"])
     assert engine.stats.hits == N_UTTERANCES
