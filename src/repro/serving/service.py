@@ -156,8 +156,9 @@ class ServiceStats:
     raised (the worker logs a warning naming the tenant, the batch size
     and the exception).  ``collector_failures`` counts the times the
     result collector died on a pipe error while the service was running
-    (it logs an error naming the exception, and every outstanding
-    request resolves as a 500 naming the failure).
+    (it logs an error naming the exception, every outstanding request
+    resolves as a 500 naming the failure, and so does every request
+    submitted after it).
     """
 
     submitted: int = 0
@@ -440,6 +441,9 @@ class DetectionService:
         self._stopping = threading.Event()
         self._dispatcher: threading.Thread | None = None
         self._collector: threading.Thread | None = None
+        # Set (under the lock) once the collector has failed: no result
+        # can reach a request any more, so none is admitted.
+        self._collector_failure: str | None = None
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> "DetectionService":
@@ -605,9 +609,9 @@ class DetectionService:
         if self.workers == 0:
             return self._submit_inline(request)
         with self._lock:
-            if not self._started:
-                queued = False
-            else:
+            failure = self._collector_failure
+            queued = False
+            if self._started and failure is None:
                 in_house = len(self._pending) + sum(
                     len(flight) for flight in self._inflight.values())
                 queued = in_house < self.queue_depth
@@ -615,7 +619,10 @@ class DetectionService:
                     self._requests[key] = request
                     self._pending.append(request)
         if not queued:
-            if self._started:
+            if failure is not None:
+                self._resolve(request, status="error", code=500,
+                              detail=failure)
+            elif self._started:
                 self._resolve(request, status="rejected", code=429,
                               detail="queue full")
             else:
@@ -646,7 +653,9 @@ class DetectionService:
 
     # ------------------------------------------------------------ scheduling
     def _dispatch_loop(self) -> None:
-        while not self._stopping.is_set():
+        # A failed collector ends dispatching too: work handed to a
+        # worker now could never come back.
+        while not self._stopping.is_set() and self._collector_failure is None:
             self._tick()
             time.sleep(self._TICK_SECONDS)
 
@@ -823,12 +832,14 @@ class DetectionService:
     def _collector_failed(self, exc: BaseException) -> None:
         """The collector is exiting on ``exc``: unless the service is
         stopping, count and log it, and resolve every outstanding request
-        now — no result can reach them any more."""
+        now, and every request submitted from now on — no result can
+        reach them any more."""
         if self._stopping.is_set():
             return
+        detail = f"result collector failed: {type(exc).__name__}: {exc}"
         with self._lock:
             self.stats.collector_failures += 1
-        detail = f"result collector failed: {type(exc).__name__}: {exc}"
+            self._collector_failure = detail
         logger.error("%s; resolving outstanding requests as errors", detail)
         self._fail_outstanding(detail)
 

@@ -377,3 +377,31 @@ def test_collector_failure_resolves_outstanding_requests_as_500(
     # stop() finds nothing left to resolve and does not count again.
     assert service.stats.collector_failures == 1
     assert service.stats.errors == 1
+
+
+@pytest.mark.timeout(60)
+def test_requests_after_a_collector_failure_resolve_at_once_as_500(
+        monkeypatch):
+    real_wait = multiprocessing.connection.wait
+
+    def wait(object_list, timeout=None):
+        if threading.current_thread().name == "serve-collect":
+            raise OSError("injected wait fault")
+        return real_wait(object_list, timeout)
+
+    monkeypatch.setattr(multiprocessing.connection, "wait", wait)
+    with _service(request_timeout_seconds=None) as service:
+        deadline = time.monotonic() + 10
+        while (service.stats.collector_failures == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert service.stats.collector_failures == 1
+        result = service.submit("t", make_clip()).result(timeout=1.0)
+        # The dispatcher has stopped too: nothing reached a worker.
+        service._dispatcher.join(timeout=1.0)
+        assert not service._dispatcher.is_alive()
+        assert all(not flight for flight in service._inflight.values())
+    assert result.status == "error" and result.code == 500
+    assert result.detail == ("result collector failed: OSError: "
+                             "injected wait fault")
+    assert result.worker_id == -1
