@@ -52,8 +52,9 @@ class Waveform:
         # shared-memory copies, content hashing and DSP framing can all
         # assume a flat buffer and never re-convert per stage.  For an
         # already-contiguous float64 array this is a no-copy passthrough;
-        # a writeable one that the caller still holds is then copied, so
-        # freezing never reaches the caller's array.
+        # a writeable buffer someone else may still hold (the caller's
+        # array, or a view of one) is then copied, so a later write to
+        # it can neither reach the waveform nor stale its fingerprint.
         given = self.samples
         samples = np.ascontiguousarray(given, dtype=np.float64)
         if samples.ndim != 1:
@@ -61,8 +62,7 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if samples.flags.writeable:
-            if isinstance(given, np.ndarray) \
-                    and np.may_share_memory(samples, given):
+            if samples is given or samples.base is not None:
                 samples = samples.copy()
             samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -130,24 +130,19 @@ class Waveform:
         ``samples`` equals :attr:`samples`, so a fingerprint already
         computed carries over instead of being computed again.
         """
-        return self._same_audio(samples=samples)
+        moved = replace(self, samples=samples)
+        known = self.__dict__.get("_fingerprint")
+        if known is not None:
+            object.__setattr__(moved, "_fingerprint", known)
+        return moved
 
     def with_text(self, text: str) -> "Waveform":
         """Return a copy with a different ground-truth text."""
-        return self._same_audio(text=text)
+        return replace(self, text=text)
 
     def with_label(self, label: str) -> "Waveform":
         """Return a copy with a different label."""
-        return self._same_audio(label=label)
-
-    def _same_audio(self, **changes) -> "Waveform":
-        """``replace(self, **changes)`` for changes that keep the audio
-        content: a fingerprint already computed carries over."""
-        copy = replace(self, **changes)
-        known = self.__dict__.get("_fingerprint")
-        if known is not None:
-            object.__setattr__(copy, "_fingerprint", known)
-        return copy
+        return replace(self, label=label)
 
     def clipped(self, limit: float = 1.0) -> "Waveform":
         """Return a copy with samples clipped to ``[-limit, limit]``."""

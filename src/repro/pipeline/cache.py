@@ -8,7 +8,8 @@ screens repeated audio (replayed commands, re-submitted uploads).
 
 The cache key is the clip's content hash
 (:attr:`~repro.audio.waveform.Waveform.fingerprint`: the raw samples
-plus the sample rate, computed once per waveform) and the ASR's identity (``name`` and ``short_name``), so two
+plus the sample rate, computed once per waveform) and the ASR's
+identity (``name`` and ``short_name``), so two
 :class:`~repro.audio.waveform.Waveform` instances with identical audio
 share one cache entry regardless of label or metadata.  Simulated ASRs
 are deterministic — the same samples always decode to the same
