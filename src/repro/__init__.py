@@ -33,7 +33,6 @@ from repro.build import build, build_pipeline, build_service, build_streaming
 from repro.attacks.blackbox import BlackBoxGeneticAttack
 from repro.attacks.whitebox import WhiteBoxCarliniAttack
 from repro.audio.waveform import Waveform
-from repro.core.bootstrap import default_detector
 from repro.core.detector import DetectionResult, MVPEarsDetector
 from repro.errors import BackendUnavailableError, UnknownComponentError
 from repro.defenses.ensemble import TransformedASR, TransformEnsembleDetector
@@ -101,7 +100,6 @@ __all__ = [
     "BlackBoxGeneticAttack",
     "WhiteBoxCarliniAttack",
     "Waveform",
-    "default_detector",
     "DetectionResult",
     "MVPEarsDetector",
     "Transform",

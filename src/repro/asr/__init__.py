@@ -25,7 +25,6 @@ from repro.asr.google import GoogleCloudSpeech
 from repro.asr.amazon import AmazonTranscribe
 from repro.asr.kaldi import Kaldi
 from repro.asr.registry import (
-    ASR_NAMES,
     build_asr,
     default_asr_suite,
     get_shared_lexicon,
@@ -47,7 +46,6 @@ __all__ = [
     "GoogleCloudSpeech",
     "AmazonTranscribe",
     "Kaldi",
-    "ASR_NAMES",
     "build_asr",
     "default_asr_suite",
     "get_shared_lexicon",

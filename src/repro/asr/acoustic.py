@@ -28,6 +28,24 @@ from repro.audio.synthesis import SpeakerProfile, SpeechSynthesizer
 from repro.dsp.features import FeatureExtractor
 from repro.text.phonemes import PHONEMES, PHONEME_TO_INDEX, Phoneme
 
+#: Clean training exemplars, keyed by ``(sample_rate, phoneme, speaker)``.
+#: ``phoneme_exemplar`` renders with a fixed RNG and no jitter, so every
+#: model that fits on the same speakers would render the same arrays;
+#: each is rendered once per process and stored read-only.
+_EXEMPLARS: dict[tuple[int, Phoneme, SpeakerProfile], np.ndarray] = {}
+
+
+def _training_exemplar(synthesizer: SpeechSynthesizer, phoneme: Phoneme,
+                       speaker: SpeakerProfile) -> np.ndarray:
+    key = (synthesizer.sample_rate, phoneme, speaker)
+    exemplar = _EXEMPLARS.get(key)
+    if exemplar is None:
+        exemplar = synthesizer.phoneme_exemplar(phoneme, duration=0.12,
+                                                speaker=speaker)
+        exemplar.setflags(write=False)
+        _EXEMPLARS[key] = exemplar
+    return exemplar
+
 
 class TemplateAcousticModel:
     """Weighted nearest-template phoneme classifier."""
@@ -75,8 +93,7 @@ class TemplateAcousticModel:
         for phoneme in PHONEMES:
             vectors = []
             for speaker in speakers:
-                exemplar = synthesizer.phoneme_exemplar(phoneme, duration=0.12,
-                                                        speaker=speaker)
+                exemplar = _training_exemplar(synthesizer, phoneme, speaker)
                 features = self.feature_extractor.transform(exemplar)
                 if features.shape[0] == 0:
                     continue

@@ -246,8 +246,3 @@ register_asr("KAL", lambda: Kaldi(**shared_asr_kwargs()))
 #: restores when a shadowing plugin is removed (built-ins never leave
 #: the registry or their default-suite position).
 _BUILTINS: dict[str, Callable[[], ASRSystem]] = dict(_FACTORIES)
-
-#: Short names of the systems used in the paper's evaluation, in
-#: target-first order.  Derived from the registry, kept as a module
-#: constant for backwards compatibility.
-ASR_NAMES: tuple[str, ...] = default_suite_names()

@@ -14,17 +14,14 @@ config file, and validates the spec before touching any heavy machinery
 — a typo fails with the field name and the allowed values, not a stack
 trace from deep inside the suite build.
 
-Construction is faithful to the legacy ``default_detector`` paths: a
-spec produced by :meth:`DetectorSpec.default` builds the *same* system
-(same suite order, same training data, same classifier configuration),
-so spec-built and kwarg-built detectors are score-identical — pinned by
-``tests/test_specs.py``.
+A spec produced by :meth:`DetectorSpec.default` builds the paper's
+headline system ``DS0+{DS1, GCS, AT}``, trained on the scored dataset.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.asr.base import ASRSystem
 from repro.asr.registry import build_asr
@@ -78,8 +75,7 @@ def is_canonical_ensemble(suite) -> bool:
     view *of the target* — the shape
     ``DetectorSpec.default(defense="transform"|"combined")`` produces.
     :func:`build` maps exactly these suites to a
-    :class:`~repro.defenses.ensemble.TransformEnsembleDetector` (and
-    ``TransformEnsembleDetector.from_spec`` refuses everything else).
+    :class:`~repro.defenses.ensemble.TransformEnsembleDetector`.
     """
     members = tuple(suite.auxiliaries)
     plain = tuple(m for m in members if m.transform is None)
@@ -87,25 +83,6 @@ def is_canonical_ensemble(suite) -> bool:
     return (bool(tail) and members[:len(plain)] == plain
             and all(m.transform is not None and m.name == suite.target.name
                     for m in tail))
-
-
-def default_spec_with_transforms(transforms, **spec_kwargs):
-    """``DetectorSpec.default`` tolerating instance transforms.
-
-    Returns ``(spec, overrides)``: when every transform has a compact
-    spec representation the overrides are empty; otherwise (a custom
-    ``Transform`` subclass, a seeded ``NoiseFlood``) the instances ride
-    along as a :func:`build` ``overrides`` dict instead.  Shared by the
-    legacy ``default_detector`` shim and the experiment runners.
-    """
-    if transforms is None or isinstance(transforms, str):
-        return DetectorSpec.default(**spec_kwargs, transforms=transforms), {}
-    transforms = list(transforms)          # a generator must survive a retry
-    try:
-        return DetectorSpec.default(**spec_kwargs, transforms=transforms), {}
-    except ValueError:
-        return (DetectorSpec.default(**spec_kwargs),
-                {"transforms": transforms})
 
 
 def build_feature_engine(features_spec):
@@ -143,86 +120,52 @@ def _training_source(spec: DetectorSpec) -> str:
 
 
 def build(spec: DetectorSpec | Mapping | str | None = None, *,
-          fit: bool = True,
-          overrides: Mapping[str, Any] | None = None) -> MVPEarsDetector:
+          fit: bool = True) -> MVPEarsDetector:
     """Build (and by default fit) the detection system a spec describes.
+
+    This is the one way from a spec to a detector.  A component with no
+    spec form (a custom ``Transform`` subclass, a seeded ``NoiseFlood``,
+    an injected cache) is passed to the
+    :class:`~repro.core.detector.MVPEarsDetector` or
+    :class:`~repro.defenses.ensemble.TransformEnsembleDetector`
+    constructor directly instead.
 
     Args:
         spec: a :class:`DetectorSpec`, a plain dict, a JSON config path,
             or ``None`` for the paper's default system.
         fit: train the classifier per ``spec.training`` (pass ``False``
             for an unfitted detector to train yourself).
-        overrides: escape hatch for non-serialisable components, used by
-            the legacy ``default_detector`` shim.  Recognised keys:
-            ``"transforms"`` (built ``Transform`` instances replacing
-            the suite's transformed-target views), ``"cache"`` (a
-            :class:`TranscriptionCache` instance), ``"score_cache"`` (a
-            :class:`PairScoreCache` instance), ``"scorer"`` (a
-            :class:`SimilarityScorer` instance), ``"feature_engine"`` (a
-            :class:`~repro.dsp.engine.FeatureEngine` or ``None``).
 
     Returns:
         An :class:`~repro.core.detector.MVPEarsDetector`; a
         :class:`~repro.defenses.ensemble.TransformEnsembleDetector` when
         the suite's tail is transformed views of the target (the shape
         :meth:`DetectorSpec.default` produces for the transform-based
-        defenses), so legacy call sites keep their return type.
+        defenses), so the transform-aware surface (``fit_bundle``,
+        ``transform_names``) stays available.
     """
     spec = resolve_spec(spec)
-    overrides = dict(overrides or {})
-
-    scoring = SimilarityEngine(
-        scorer=overrides.get("scorer", spec.scoring.scorer),
-        cache=resolve_score_cache(overrides.get("score_cache",
-                                                spec.scoring.cache)))
-    cache = resolve_transcription_cache(overrides.get("cache",
-                                                      spec.pipeline.cache))
-    feature_engine = overrides.get("feature_engine",
-                                   build_feature_engine(spec.pipeline.features))
-    target = _resolve_member(spec.suite.target)
-
-    members = list(spec.suite.auxiliaries)
-    if "transforms" in overrides:
-        # Instance transforms replace the spec's transformed-target views
-        # (legacy `transforms=[Transform, ...]` support); plain members
-        # keep their order.
-        members = [m for m in members
-                   if not (m.transform is not None
-                           and m.name == spec.suite.target.name)]
-        transform_objects = list(overrides["transforms"])
-        canonical = (bool(transform_objects)
-                     and all(m.transform is None for m in members))
-        if not canonical:
-            # Refuse rather than silently drop the override instances:
-            # transform overrides only compose with the canonical
-            # ensemble shape (plain members + transformed-target views).
-            raise InvalidSpecError(
-                ["overrides['transforms']: the suite keeps transformed "
-                 "views of non-target members, so instance transforms "
-                 "cannot replace its ensemble; express the transforms in "
-                 "the spec instead"])
-    else:
-        transform_objects = [m.transform.build() for m in members
-                             if m.transform is not None
-                             and m.name == spec.suite.target.name]
-        canonical = is_canonical_ensemble(spec.suite)
-
-    # A canonical ensemble shape builds a TransformEnsembleDetector so
-    # the transform-aware surface (fit_bundle, transform_names) stays
-    # available; any other mix (e.g. a transformed view of a non-target
-    # member) builds a generic suite with every member resolved in spec
-    # order.
-    plain_prefix = [m for m in members if m.transform is None]
+    scoring = SimilarityEngine(scorer=spec.scoring.scorer,
+                               cache=resolve_score_cache(spec.scoring.cache))
     common = dict(classifier=spec.classifier.name,
-                  workers=spec.pipeline.workers, cache=cache, scoring=scoring,
-                  feature_engine=feature_engine)
-    if canonical:
+                  workers=spec.pipeline.workers,
+                  cache=resolve_transcription_cache(spec.pipeline.cache),
+                  scoring=scoring,
+                  feature_engine=build_feature_engine(spec.pipeline.features))
+    target = _resolve_member(spec.suite.target)
+    members = spec.suite.auxiliaries
+    if is_canonical_ensemble(spec.suite):
         from repro.defenses.ensemble import TransformEnsembleDetector
         detector: MVPEarsDetector = TransformEnsembleDetector(
-            target, transforms=transform_objects,
-            asr_auxiliaries=[_resolve_member(m) for m in plain_prefix],
+            target,
+            transforms=[m.transform.build() for m in members
+                        if m.transform is not None],
+            asr_auxiliaries=[_resolve_member(m) for m in members
+                             if m.transform is None],
             **common)
     else:
+        # Any other mix (e.g. a transformed view of a non-target member)
+        # builds a generic suite with every member resolved in spec order.
         detector = MVPEarsDetector(
             target, [_resolve_member(m) for m in members], **common)
 

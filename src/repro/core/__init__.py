@@ -9,7 +9,6 @@ synthesis of hypothetical multiple-ASR-effective (MAE) AEs in score space,
 and the proactive ("comprehensive") training procedure of Section V-H.
 """
 
-from repro.core.bootstrap import DEFAULT_AUXILIARIES, default_detector
 from repro.core.detector import DetectionResult, MVPEarsDetector
 from repro.core.threshold import ThresholdDetector
 from repro.core.features import score_vector, score_vectors
@@ -23,8 +22,6 @@ from repro.core.mae import (
 from repro.core.proactive import ComprehensiveDetector
 
 __all__ = [
-    "DEFAULT_AUXILIARIES",
-    "default_detector",
     "DetectionResult",
     "MVPEarsDetector",
     "ThresholdDetector",

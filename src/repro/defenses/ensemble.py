@@ -117,31 +117,6 @@ class TransformEnsembleDetector(MVPEarsDetector):
         self.transforms = transforms
         self.asr_auxiliaries = list(asr_auxiliaries or [])
 
-    # ----------------------------------------------------------- construction
-    @classmethod
-    def from_spec(cls, spec, fit: bool = True) -> "TransformEnsembleDetector":
-        """Build a transform ensemble from a declarative spec.
-
-        ``spec`` is anything :func:`repro.build.resolve_spec` accepts.
-        The suite must have the canonical ensemble shape — plain
-        auxiliaries followed by transformed views of the target (what
-        ``DetectorSpec.default(defense="transform"|"combined")``
-        produces); anything else is refused up front, before any
-        dataset or training work, since :func:`repro.build.build` would
-        return a plain :class:`MVPEarsDetector` for it.
-        """
-        from repro.build import build, is_canonical_ensemble, resolve_spec
-        from repro.specs import InvalidSpecError
-        spec = resolve_spec(spec)
-        if not is_canonical_ensemble(spec.suite):
-            raise InvalidSpecError(
-                ["suite.auxiliaries: not a transform-ensemble shape (expected "
-                 "plain auxiliaries followed by transformed views of the "
-                 "target); use repro.build() for arbitrary suites"])
-        detector = build(spec, fit=fit)
-        assert isinstance(detector, cls)
-        return detector
-
     # ---------------------------------------------------------- description
     @property
     def transform_names(self) -> tuple[str, ...]:

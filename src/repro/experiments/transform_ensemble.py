@@ -16,33 +16,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.build import build, default_spec_with_transforms
+from repro.build import build
 from repro.config import DEFAULT_SEED, ReproScale
 from repro.core.detector import MVPEarsDetector
 from repro.datasets.builder import load_standard_bundle
-from repro.defenses.transforms import Transform
 from repro.experiments.registry import register
 from repro.experiments.runner import Experiment, ExperimentTable, WorkUnit
 from repro.ml.model_selection import train_test_split
+from repro.specs import DetectorSpec
 
 #: The three defense modes of the comparison, in table order.
 DEFENSE_MODES = ("transform", "multi-asr", "combined")
 
 
-def _build_defense(mode: str, classifier: str,
-                   transforms: list[Transform] | None,
+def _build_defense(mode: str, classifier: str, transforms,
                    workers: int | None) -> MVPEarsDetector:
     # One system as a declarative spec over the shared target (fitting
     # happens on the experiment's own split, so fit=False).
-    spec, overrides = default_spec_with_transforms(
-        transforms if mode != "multi-asr" else None,
-        defense=mode, classifier=classifier, workers=workers)
-    return build(spec, fit=False, overrides=overrides)
+    return build(DetectorSpec.default(defense=mode, classifier=classifier,
+                                      workers=workers, transforms=transforms),
+                 fit=False)
 
 
-def _mode_row(mode: str, bundle, classifier: str,
-              transforms: list[Transform] | None, test_fraction: float,
-              seed: int, workers: int | None) -> dict:
+def _mode_row(mode: str, bundle, classifier: str, transforms,
+              test_fraction: float, seed: int, workers: int | None) -> dict:
     """One defense mode's held-out accuracy on the shared split."""
     detector = _build_defense(mode, classifier, transforms, workers)
     samples = bundle.all_samples
@@ -66,7 +63,7 @@ def _mode_row(mode: str, bundle, classifier: str,
 def run_transform_ensemble_comparison(
         scale: ReproScale | str | None = None,
         classifier: str = "SVM",
-        transforms: list[Transform] | None = None,
+        transforms=None,
         test_fraction: float = 0.25,
         seed: int = DEFAULT_SEED,
         workers: int | None = None) -> ExperimentTable:
@@ -75,8 +72,12 @@ def run_transform_ensemble_comparison(
     Args:
         scale: dataset scale preset (``None`` reads ``REPRO_SCALE``).
         classifier: classifier registry name used by every system.
-        transforms: transformation ensemble (default: the standard
-            suite) for the transform and combined systems.
+        transforms: transformation ensemble for the transform and
+            combined systems, in any form ``DetectorSpec.default``
+            accepts: a comma-separated spec string, or a sequence of
+            spec strings, ``TransformSpec`` objects or ``Transform``
+            instances that carry a ``spec`` (default: the standard
+            suite).  A transform with no spec raises ``ValueError``.
         test_fraction: held-out fraction for the evaluation split.
         seed: split seed (the same split is used for every system, so
             the three rows are directly comparable).

@@ -4,7 +4,7 @@ The paper evaluates three binary classifiers with fixed configurations:
 SVM with a 3-degree polynomial kernel, KNN with 10 voting neighbours, and a
 Random Forest seeded with 200.  Further classifiers can be registered with
 :func:`register_classifier` and then addressed by name everywhere a
-classifier name is accepted (specs, ``default_detector``, the CLI).
+classifier name is accepted (specs, the CLI).
 """
 
 from __future__ import annotations

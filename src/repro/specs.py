@@ -658,14 +658,16 @@ class DetectorSpec(_Spec):
                 transforms: Any = None,
                 scorer: str | None = None,
                 score_cache: str = "shared") -> "DetectorSpec":
-        """The spec equivalent of the legacy ``default_detector`` kwargs.
+        """The paper's detection systems as a spec.
 
         ``defense`` shapes the suite: ``"multi-asr"`` (the paper's
         system — diverse auxiliary models), ``"transform"`` (transformed
         views of the target as auxiliaries) or ``"combined"`` (both).
-        ``transforms`` accepts a comma-separated spec string, a sequence
-        of spec strings, or built :class:`Transform` instances that
-        carry a ``spec`` (default: the standard five-transform suite).
+        ``transforms`` accepts a comma-separated spec string, or a
+        sequence of spec strings, :class:`TransformSpec` objects or
+        built :class:`Transform` instances that carry a ``spec``
+        (default: the standard five-transform suite); a transform with
+        no spec raises ``ValueError``.
         """
         from repro.asr.registry import default_suite_names
         if defense not in DEFENSE_MODES:

@@ -141,3 +141,26 @@ def test_word_decoder_exact_and_noisy_segments():
 def test_word_decoder_empty_input():
     decoder = WordDecoder(get_shared_lexicon(), get_shared_language_model())
     assert decoder.decode([SILENCE, SILENCE]) == ("", [])
+
+
+def test_training_exemplars_render_once_per_process(monkeypatch):
+    from repro.asr import acoustic
+    from repro.asr.registry import build_fresh_asr
+    from repro.audio.synthesis import SpeechSynthesizer
+
+    monkeypatch.setattr(acoustic, "_EXEMPLARS", {})
+    render = SpeechSynthesizer._render_phoneme
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append(args[0])
+        return render(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpeechSynthesizer, "_render_phoneme", spy)
+    for name in ("DS0", "DS1", "GCS", "AT"):
+        build_fresh_asr(name)
+    # 40 phonemes x 3 speakers, shared by the four models (not 480).
+    assert len(calls) == len(PHONEMES) * 3 == 120
+    assert len(acoustic._EXEMPLARS) == 120
+    assert not any(exemplar.flags.writeable
+                   for exemplar in acoustic._EXEMPLARS.values())

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.asr.base import Transcription
-from repro.asr.registry import ASR_NAMES, build_asr, default_asr_suite
+from repro.asr.registry import build_asr, default_asr_suite, default_suite_names
 from repro.text.metrics import word_error_rate
 
 
 def test_registry_names_and_caching():
-    assert ASR_NAMES == ("DS0", "DS1", "GCS", "AT")
+    assert default_suite_names() == ("DS0", "DS1", "GCS", "AT")
     assert build_asr("DS0") is build_asr("DS0")
     with pytest.raises(KeyError):
         build_asr("SIRI")

@@ -259,13 +259,17 @@ def test_transform_ensemble_comparison_table(tiny_bundle):
 
 
 def test_bootstrap_defense_modes(tiny_bundle):
-    from repro.core.bootstrap import default_detector
+    from repro.build import build
+    from repro.errors import UnknownComponentError
+    from repro.specs import DetectorSpec
 
-    detector = default_detector(scale="tiny", defense="transform",
-                                transforms=FAST_TRANSFORMS())
+    detector = build(DetectorSpec.default(
+        scale="tiny", defense="transform",
+        transforms="quantize:6,lowpass:2500"))
     assert detector.n_features == 2
-    combined = default_detector(scale="tiny", defense="combined",
-                                transforms=FAST_TRANSFORMS())
+    combined = build(DetectorSpec.default(
+        scale="tiny", defense="combined",
+        transforms="quantize:6,lowpass:2500"))
     assert combined.n_features == 5  # 3 ASR auxiliaries + 2 transforms
-    with pytest.raises(KeyError):
-        default_detector(scale="tiny", defense="waveguard")
+    with pytest.raises(UnknownComponentError):
+        DetectorSpec.default(scale="tiny", defense="waveguard")

@@ -1,16 +1,12 @@
 """Tests for the declarative spec tree, repro.build and the registries.
 
-Covers the PR's acceptance criteria: spec JSON round-trips are identity,
-the environment overlay wins over file values, a spec-built detector is
-score-identical to the legacy kwarg-built one in all three defense
-modes, a ``register_asr`` plugin participates in a suite by name, the
-legacy ``default_detector`` kwargs still work under
-``DeprecationWarning``, and every registry raises one
-``UnknownComponentError``.
+Covers: spec JSON round-trips are identity, the environment overlay
+wins over file values, a config file alone rebuilds the headline
+system score for score, a ``register_asr`` plugin participates in a
+suite by name, and every registry raises one ``UnknownComponentError``.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +20,6 @@ from repro.asr.registry import (
     unregister_asr,
 )
 from repro.build import build, build_pipeline, build_service, build_streaming
-from repro.core.bootstrap import default_detector
 from repro.errors import UnknownComponentError
 from repro.specs import (
     ASRSpec,
@@ -253,62 +248,17 @@ def test_unregister_restores_shadowed_builtin():
     assert asr_name_resolvable("KAL-fs3") and not asr_name_resolvable("SIRI")
 
 
-# ---------------------------------------------------- spec / legacy parity
-@pytest.mark.parametrize("mode", ["multi-asr", "transform", "combined"])
-def test_spec_build_matches_legacy_kwargs(mode, synthesizer):
-    spec_kwargs = dict(scale="tiny", defense=mode)
-    if mode != "multi-asr":
-        spec_kwargs["transforms"] = "quantize:6,lowpass:2500"
-    from_spec = build(DetectorSpec.default(**spec_kwargs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = default_detector(**spec_kwargs)
-    assert from_spec.system_name == legacy.system_name
-    for text in ("turn off all the lights", "open the front door"):
-        clip = synthesizer.synthesize(text)
-        spec_result = from_spec.detect(clip)
-        legacy_result = legacy.detect(clip)
-        assert np.array_equal(spec_result.scores, legacy_result.scores)
-        assert spec_result.is_adversarial == legacy_result.is_adversarial
-
-
+# ---------------------------------------------------------- config files
 def test_config_file_alone_reproduces_headline_system(tmp_path, synthesizer):
     path = DetectorSpec.default(scale="tiny").save(str(tmp_path / "sys.json"))
     from_file = build(DetectorSpec.from_json(path))
     from_path = build(path)        # build() accepts the path directly
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = default_detector(scale="tiny")
+    in_code = build(DetectorSpec.default(scale="tiny"))
     assert from_file.system_name == "DS0+{DS1, GCS, AT}"
     clip = synthesizer.synthesize("the weather is nice today")
-    reference = legacy.detect(clip).scores
+    reference = in_code.detect(clip).scores
     assert np.array_equal(from_file.detect(clip).scores, reference)
     assert np.array_equal(from_path.detect(clip).scores, reference)
-
-
-def test_legacy_kwargs_warn_but_bare_call_does_not():
-    with pytest.deprecated_call():
-        default_detector(scale="tiny")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        build(DetectorSpec.default(scale="tiny"))      # spec path never warns
-
-
-def test_legacy_instance_arguments_still_work():
-    from repro.defenses.transforms import BitDepthQuantize, NoiseFlood
-    from repro.pipeline.cache import TranscriptionCache
-    from repro.similarity.score_cache import PairScoreCache
-
-    cache = TranscriptionCache()
-    score_cache = PairScoreCache()
-    with pytest.deprecated_call():
-        detector = default_detector(
-            scale="tiny", defense="transform",
-            transforms=[BitDepthQuantize(6), NoiseFlood(20.0, seed=3)],
-            cache=cache, score_cache=score_cache)
-    assert detector.transform_names == ("quantize-6", "noise-20-s3")
-    assert detector.engine.cache is cache
-    assert detector.scoring.cache is score_cache
 
 
 # ------------------------------------------------------------ ASR registry
@@ -466,19 +416,6 @@ def test_scored_dataset_with_custom_suite_keeps_column_order(tiny_bundle):
         dataset.features_for(("AT",))
 
 
-def test_override_transforms_refuse_noncanonical_suites():
-    from repro.defenses.transforms import BitDepthQuantize
-
-    spec = DetectorSpec.from_dict({
-        "suite": {"target": "DS0",
-                  "auxiliaries": ["DS1",
-                                  {"name": "DS1", "transform": "median:5"}]},
-        "training": {"scale": "tiny", "source": "bundle"}})
-    with pytest.raises(InvalidSpecError, match="non-target"):
-        build(spec, fit=False,
-              overrides={"transforms": [BitDepthQuantize(6)]})
-
-
 # ------------------------------------------------------ shape edge cases
 def test_transformed_non_target_members_are_kept():
     # A transformed view of a *non-target* member is not the canonical
@@ -514,11 +451,12 @@ def test_default_uses_auto_source_so_nondefault_targets_train_on_bundle():
 
 
 def test_ensemble_from_spec_refuses_plain_suites_before_building():
+    # Only the transform-ensemble shape builds a TransformEnsembleDetector.
     from repro.defenses.ensemble import TransformEnsembleDetector
 
-    with pytest.raises(InvalidSpecError, match="transform-ensemble shape"):
-        TransformEnsembleDetector.from_spec(DetectorSpec.default(scale="tiny"))
-    ensemble = TransformEnsembleDetector.from_spec(
-        DetectorSpec.default(scale="tiny", defense="transform",
-                             transforms="quantize:6"), fit=False)
+    plain = build(DetectorSpec.default(scale="tiny"), fit=False)
+    assert not isinstance(plain, TransformEnsembleDetector)
+    ensemble = build(DetectorSpec.default(scale="tiny", defense="transform",
+                                          transforms="quantize:6"), fit=False)
+    assert isinstance(ensemble, TransformEnsembleDetector)
     assert ensemble.transform_names == ("quantize-6",)
