@@ -123,19 +123,6 @@ class Waveform:
         return replace(self, samples=np.asarray(samples, dtype=np.float64),
                        metadata=merged)
 
-    def rehomed(self, samples: np.ndarray) -> "Waveform":
-        """This clip on another buffer holding the same samples.
-
-        For moving a clip onto shared pages: the caller vouches that
-        ``samples`` equals :attr:`samples`, so a fingerprint already
-        computed carries over instead of being computed again.
-        """
-        moved = replace(self, samples=samples)
-        known = self.__dict__.get("_fingerprint")
-        if known is not None:
-            object.__setattr__(moved, "_fingerprint", known)
-        return moved
-
     def with_text(self, text: str) -> "Waveform":
         """Return a copy with a different ground-truth text."""
         return replace(self, text=text)
@@ -173,8 +160,3 @@ class Waveform:
         n = max(len(self), len(other))
         mixed = self.padded_to(n).samples + gain * other.padded_to(n).samples
         return self.with_samples(mixed)
-
-    def perturbation_from(self, original: "Waveform") -> np.ndarray:
-        """Sample-wise difference between this waveform and ``original``."""
-        n = max(len(self), len(original))
-        return self.padded_to(n).samples - original.padded_to(n).samples

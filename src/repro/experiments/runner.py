@@ -281,44 +281,6 @@ def attach_worker_caches(directory: str) -> None:
     similarity_engine.get_shared_score_cache()
 
 
-def _intern_shared_samples(experiment) -> None:
-    """Re-home the bundle's waveforms onto the shared sample arena.
-
-    Runs in the parent immediately before the shard workers fork, so
-    when ``REPRO_SAMPLE_ARENA`` opts a run in (see
-    :func:`repro.pipeline.engine.get_shared_sample_arena`), every child
-    inherits one content-interned resident copy of each clip through
-    shared pages instead of duplicating the memoised bundle
-    copy-on-write.  Strictly best effort: no arena, a full arena, or an
-    experiment without a bundle all leave the inputs untouched; a bundle
-    that fails to build is logged as a warning and skipped.
-    """
-    from repro.pipeline.engine import get_shared_sample_arena
-
-    arena = get_shared_sample_arena()
-    if arena is None or not arena.is_owner:
-        return
-    from dataclasses import replace
-
-    try:
-        bundle = experiment.bundle()
-    except Exception as exc:
-        logger.warning("sample arena: bundle of %r failed (%s: %s); running"
-                       " without interned samples", experiment.name,
-                       type(exc).__name__, exc)
-        return
-    for collection in (bundle.benign, bundle.whitebox,
-                       bundle.blackbox, bundle.nontargeted):
-        for index, sample in enumerate(collection):
-            audio = sample.waveform
-            if arena.owns(audio.samples):
-                continue
-            view = arena.intern(audio.fingerprint, audio.samples)
-            if view is not None:
-                collection[index] = replace(sample,
-                                            waveform=audio.rehomed(view))
-
-
 def _shard_worker(experiment, units: list[tuple[int, WorkUnit]],
                   result_queue, cache_dir: str | None) -> None:
     """Run one worker's statically assigned units (forked child body)."""
@@ -439,7 +401,6 @@ def execute_experiment(experiment, store=None, workers: int | None = None,
         workers = spec.workers
     cache_dir = store.cache_dir if store is not None else None
     if workers and len(to_run) > 1 and _fork_context() is not None:
-        _intern_shared_samples(experiment)
         _run_sharded(experiment, to_run, workers, cache_dir, on_rows)
     else:
         for _, unit in to_run:

@@ -40,10 +40,6 @@ from repro.pipeline.cache import TranscriptionCache
 #: Environment variable overriding the default worker-pool size.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment variable opting batch inputs into a shared sample arena
-#: (value: arena capacity in megabytes).
-SAMPLE_ARENA_ENV = "REPRO_SAMPLE_ARENA"
-
 
 def resolve_worker_count(n_tasks: int | None = None) -> int:
     """Default number of pool workers.
@@ -72,36 +68,6 @@ def get_shared_cache() -> TranscriptionCache:
     """
     return TranscriptionCache(capacity=8192,
                               path=os.environ.get("REPRO_TRANSCRIPTION_CACHE"))
-
-
-@lru_cache(maxsize=1)
-def get_shared_sample_arena():
-    """The process-wide shared sample arena, or ``None`` when not opted in.
-
-    Set ``REPRO_SAMPLE_ARENA`` to an arena capacity in megabytes to give
-    every default engine one shared-memory slab of content-interned
-    samples (see :meth:`repro.serving.arena.ShmArena.intern`).  The win
-    is for fork pools — the experiment runner's sharded executor — where
-    the parent interns each shard's inputs *before* forking, so children
-    read the same physical pages instead of holding copy-on-write
-    duplicates.  Creation failures (no POSIX shared memory, bad value)
-    resolve to ``None``: the arena is an optimisation, never a
-    requirement.
-    """
-    raw = os.environ.get(SAMPLE_ARENA_ENV)
-    if not raw:
-        return None
-    try:
-        megabytes = float(raw)
-    except ValueError:
-        return None
-    if megabytes <= 0:
-        return None
-    from repro.serving.arena import ShmArena
-    try:
-        return ShmArena(int(megabytes * (1 << 20)))
-    except (ImportError, OSError, ValueError):
-        return None
 
 
 def resolve_transcription_cache(spec) -> TranscriptionCache | bool:
@@ -176,9 +142,6 @@ class TranscriptionEngine:
         cache: ``True`` (default) shares the process-wide cache from
             :func:`get_shared_cache`; ``False``/``None`` disables caching;
             a :class:`TranscriptionCache` instance is used as given.
-        cache_path: convenience — when given (and ``cache`` is ``True``)
-            a private on-disk cache at this path is used instead of the
-            shared one.
         feature_engine: optional :class:`~repro.dsp.engine.FeatureEngine`.
             When set, suite members that support precomputed features get
             their front-end matrices from the engine (computed once per
@@ -186,24 +149,15 @@ class TranscriptionEngine:
             batches through the feature cache) and batches are pre-warmed
             through the vectorized batch front end.  Transcriptions are
             identical either way.
-        sample_arena: optional :class:`~repro.serving.arena.ShmArena`
-            to re-home batch inputs onto (one content-interned resident
-            copy per distinct clip, shared with fork children).  Defaults
-            to the ``REPRO_SAMPLE_ARENA``-gated process arena from
-            :func:`get_shared_sample_arena` (``None`` unless opted in).
     """
 
     def __init__(self, target_asr: ASRSystem, auxiliary_asrs: list[ASRSystem],
                  workers: int | None = None,
                  cache: TranscriptionCache | bool | None = True,
-                 cache_path: str | None = None,
-                 feature_engine=None,
-                 sample_arena=None):
+                 feature_engine=None):
         self.target_asr = target_asr
         self.auxiliary_asrs = list(auxiliary_asrs)
         self.feature_engine = feature_engine
-        self.sample_arena = (sample_arena if sample_arena is not None
-                             else get_shared_sample_arena())
         n_systems = 1 + len(self.auxiliary_asrs)
         if workers is None:
             workers = resolve_worker_count(n_systems)
@@ -213,8 +167,7 @@ class TranscriptionEngine:
         if isinstance(cache, TranscriptionCache):
             self.cache: TranscriptionCache | None = cache
         elif cache:
-            self.cache = (TranscriptionCache(path=cache_path)
-                          if cache_path is not None else get_shared_cache())
+            self.cache = get_shared_cache()
         else:
             self.cache = None
         self._pool: ThreadPoolExecutor | None = None
@@ -294,29 +247,6 @@ class TranscriptionEngine:
             return asr.transcribe_with_features(audio, features)
         return asr.transcribe(audio)
 
-    def _adopt_samples(self, audios: list[Waveform]) -> list[Waveform]:
-        """Re-home batch inputs onto the shared sample arena (best effort).
-
-        Each distinct clip (by content hash) is interned once; the
-        returned waveforms carry zero-copy read-only views over the
-        arena pages, so a fork pool's children read shared physical
-        memory instead of copy-on-write duplicates.  Clips the arena
-        cannot take (full, or this is a fork child seeing a clip the
-        parent never interned) pass through unchanged — the arena is an
-        optimisation, never a correctness dependency.
-        """
-        arena = self.sample_arena
-        if arena is None:
-            return audios
-        adopted = []
-        for audio in audios:
-            if arena.owns(audio.samples):
-                adopted.append(audio)
-                continue
-            view = arena.intern(audio.fingerprint, audio.samples)
-            adopted.append(audio if view is None else audio.rehomed(view))
-        return adopted
-
     def _prewarm_features(self, audios: list[Waveform]) -> None:
         """Batch-fill the feature cache for every clip a member will decode.
 
@@ -367,10 +297,6 @@ class TranscriptionEngine:
                 self._inflight.pop(key, None)
         return _TaskResult(result, from_cache=False)
 
-    def transcribe_with(self, asr: ASRSystem, audio: Waveform) -> Transcription:
-        """Transcribe one waveform with one suite member, through the cache."""
-        return self._run_one(asr, audio).transcription
-
     def _collect(self, tasks: list[_TaskResult], wall_seconds: float) -> SuiteTranscription:
         return SuiteTranscription(
             target=tasks[0].transcription,
@@ -403,7 +329,6 @@ class TranscriptionEngine:
         if not audios:
             return []
         start = time.perf_counter()
-        audios = self._adopt_samples(audios)
         self._prewarm_features(audios)
         suite = self.asr_suite
         if self.workers == 0:

@@ -38,14 +38,6 @@ Design notes:
   resolves, and :meth:`destroy` frees the whole segment — the service
   calls it unconditionally on ``stop()``, so no ``/dev/shm`` segment
   outlives the service even after SIGKILL'd workers.
-
-Besides the request/response data plane, the arena doubles as a
-content-interned sample store for batch pipelines:
-:meth:`intern`/:meth:`find` keep one resident copy of a hot clip keyed
-by content hash — :class:`~repro.pipeline.engine.TranscriptionEngine`
-adopts batch inputs through it (opt in via ``REPRO_SAMPLE_ARENA``), so
-the experiment runner's fork pool shares one slab of shard inputs
-instead of per-process copies.
 """
 
 from __future__ import annotations
@@ -150,8 +142,6 @@ class ShmArena:
         self._free_slots: list[int] = list(range(self.n_slots - 1, -1, -1))
         #: Live allocations: slot -> (offset, size) (owner-side only).
         self._live: dict[int, tuple[int, int]] = {}
-        #: Content-interned refs (see :meth:`intern`): key -> SlotRef.
-        self._interned: dict[str, SlotRef] = {}
         self._destroyed = False
         # Belt and braces: if the owner forgets destroy(), unlink at GC
         # time rather than leaking the segment until reboot.
@@ -294,56 +284,6 @@ class ShmArena:
         array.flags.writeable = False
         return array
 
-    def owns(self, array: np.ndarray) -> bool:
-        """Whether ``array``'s memory lives inside this arena's segment."""
-        if self._destroyed:
-            return False
-        try:
-            address = array.__array_interface__["data"][0]
-        except (AttributeError, KeyError, TypeError):
-            return False  # pragma: no cover - exotic arrays
-        start = _buffer_address(self._shm.buf)
-        return start <= address < start + len(self._shm.buf)
-
-    # ------------------------------------------------------------ interning
-    def intern(self, key: str, array: np.ndarray) -> np.ndarray | None:
-        """One resident copy of ``array`` under ``key`` (owner only).
-
-        Returns the arena-backed read-only view, or ``None`` when the
-        arena is full or this process is a fork child (children read
-        entries interned before the fork through :meth:`find`, but never
-        allocate — the allocator state is owner-private).  Interned
-        entries are never reclaimed; the slab is the budget.
-
-        Lookups never take the allocator lock, so a fork child that
-        inherited the lock mid-acquire can still read safely.
-        """
-        ref = self._interned.get(key)
-        if ref is not None:
-            return self.view(ref)
-        if not self.is_owner:
-            return None
-        ref = self.write(array)
-        if ref is None:
-            return None
-        with self._lock:
-            self._interned[key] = ref
-        return self.view(ref)
-
-    def find(self, key: str) -> np.ndarray | None:
-        """The interned view under ``key``, or ``None``.
-
-        Works in fork children for entries interned before the fork:
-        the table forks by value and the bytes live in shared pages.
-        """
-        ref = self._interned.get(key)
-        if ref is None:
-            return None
-        try:
-            return self.view(ref)
-        except ArenaError:  # pragma: no cover - defensive
-            return None
-
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Detach this process's mapping (readers call this, never unlink)."""
@@ -373,13 +313,6 @@ class ShmArena:
                 self._shm.unlink()
             except FileNotFoundError:
                 pass
-
-
-def _buffer_address(buf) -> int:
-    """Start address of a writable memoryview's buffer."""
-    import ctypes
-
-    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
 # ------------------------------------------------------------- waveform glue

@@ -1,9 +1,8 @@
 """Throughput counters for the serving layer.
 
 Every serving component — the streaming detector, a plain
-:class:`~repro.pipeline.detection.DetectionPipeline`, the detection
-service's transport counters — can record into one
-:class:`ServingMetrics` instance, which accumulates per-stage clip
+:class:`~repro.pipeline.detection.DetectionPipeline` — can record into
+one :class:`ServingMetrics` instance, which accumulates per-stage clip
 counts and wall-clock seconds (the same ``recognition`` /
 ``similarity`` / ``classification`` stages the paper's overhead
 experiment measures) and cache hit rates.  Embedders can poll
@@ -63,12 +62,6 @@ class ServingMetrics:
         feature_cache_hits: front-end feature matrices served from the
             feature cache.
         feature_cache_misses: front-end feature matrices computed.
-        ipc_bytes_out: audio payload bytes shipped to worker processes
-            (descriptors under the shm transport, full arrays under
-            pickle) — mirrored from
-            :class:`~repro.serving.service.ServiceStats`.
-        ipc_bytes_in: result payload bytes shipped back from workers.
-        requests_retried: distinct requests retried after a worker crash.
     """
 
     stages: dict = field(default_factory=dict)
@@ -80,9 +73,6 @@ class ServingMetrics:
     score_cache_misses: int = 0
     feature_cache_hits: int = 0
     feature_cache_misses: int = 0
-    ipc_bytes_out: int = 0
-    ipc_bytes_in: int = 0
-    requests_retried: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -103,15 +93,6 @@ class ServingMetrics:
                                                  "feature_cache_misses", 0)
             for stage, seconds in batch.stage_seconds.items():
                 self.stages.setdefault(stage, StageStats()).record(n, seconds)
-
-    def observe_service(self, stats) -> None:
-        """Fold a :class:`~repro.serving.service.ServiceStats` snapshot's
-        transport counters into these metrics (idempotent per snapshot:
-        callers pass deltas or call once at the end of a run)."""
-        with self._lock:
-            self.ipc_bytes_out += getattr(stats, "ipc_bytes_out", 0)
-            self.ipc_bytes_in += getattr(stats, "ipc_bytes_in", 0)
-            self.requests_retried += getattr(stats, "requests_retried", 0)
 
     # ----------------------------------------------------------- reporting
     def snapshot(self) -> dict:
@@ -148,9 +129,6 @@ class ServingMetrics:
                 "feature_cache_hit_rate": (
                     self.feature_cache_hits / feature_lookups
                     if feature_lookups else 0.0),
-                "ipc_bytes_out": self.ipc_bytes_out,
-                "ipc_bytes_in": self.ipc_bytes_in,
-                "requests_retried": self.requests_retried,
                 "stages": stages,
             }
 
@@ -178,8 +156,4 @@ class ServingMetrics:
                          f"{stats['seconds']:>10.3f}"
                          f"{stats['mean_seconds'] * 1000:>10.2f}"
                          f"{stats['throughput_clips_per_s']:>10.1f}")
-        if snap["ipc_bytes_out"] or snap["ipc_bytes_in"]:
-            lines.append(f"ipc              out {snap['ipc_bytes_out']} B  "
-                         f"in {snap['ipc_bytes_in']} B  "
-                         f"retried {snap['requests_retried']}")
         return "\n".join(lines)

@@ -78,13 +78,6 @@ class StreamSession:
         """Current stream-level verdict state (``benign``/``adversarial``)."""
         return self.aggregator.state
 
-    @property
-    def position_seconds(self) -> float:
-        """Total stream time pushed so far, in seconds."""
-        if self._sample_rate is None:
-            return 0.0
-        return (self._base + len(self._buffer)) / self._sample_rate
-
     # -------------------------------------------------------------- feeding
     def push(self, audio: Waveform) -> list[WindowVerdict]:
         """Append arriving audio; score and return newly complete windows."""

@@ -161,14 +161,10 @@ class SimilarityEngine:
         cache: ``True`` (default) shares the process-wide cache from
             :func:`get_shared_score_cache`; ``False``/``None`` disables
             caching; a :class:`PairScoreCache` instance is used as given.
-        cache_path: convenience — when given (and ``cache`` is ``True``)
-            a private on-disk cache at this path is used instead of the
-            shared one.
     """
 
     def __init__(self, scorer: SimilarityScorer | str | None = None,
-                 cache: PairScoreCache | bool | None = True,
-                 cache_path: str | None = None):
+                 cache: PairScoreCache | bool | None = True):
         if scorer is None:
             scorer = get_scorer()
         elif isinstance(scorer, str):
@@ -177,9 +173,7 @@ class SimilarityEngine:
         if isinstance(cache, PairScoreCache):
             self.cache: PairScoreCache | None = cache
         elif cache:
-            self.cache = (PairScoreCache(path=cache_path)
-                          if cache_path is not None
-                          else get_shared_score_cache())
+            self.cache = get_shared_score_cache()
         else:
             self.cache = None
 

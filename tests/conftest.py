@@ -108,18 +108,10 @@ def tiny_bundle():
 # deadline for pytest-timeout; when that plugin is not installed (this
 # project cannot assume it), the hooks below provide a SIGALRM-based
 # fallback honouring the same `@pytest.mark.timeout(N)` marker and
-# `timeout` ini option.
+# `timeout` ini option (the root conftest.py registers that key).
 
 def _timeout_plugin_active(config) -> bool:
     return config.pluginmanager.hasplugin("timeout")
-
-
-def pytest_addoption(parser):
-    try:
-        parser.addini("timeout", "per-test deadline in seconds "
-                                 "(fallback for pytest-timeout)")
-    except ValueError:
-        pass  # pytest-timeout already registered the option
 
 
 def pytest_configure(config):

@@ -416,32 +416,6 @@ class _BundlelessExperiment(Experiment):
         return [{"i": unit.params["i"]}]
 
 
-@pytest.mark.timeout(60)
-def test_failed_bundle_is_logged_and_the_run_completes(monkeypatch, caplog):
-    from repro.pipeline import engine as engine_mod
-
-    monkeypatch.setenv(engine_mod.SAMPLE_ARENA_ENV, "1")
-    engine_mod.get_shared_sample_arena.cache_clear()
-    spec = ExperimentSpec(experiment="nontargeted", scale="tiny").validate()
-    try:
-        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
-            result = execute_experiment(_BundlelessExperiment(spec),
-                                        workers=2)
-    finally:
-        arena = engine_mod.get_shared_sample_arena()
-        engine_mod.get_shared_sample_arena.cache_clear()
-        if arena is not None:
-            arena.destroy()
-    assert arena is not None, "the test needs POSIX shared memory"
-    assert result.complete
-    assert result.table.rows == [{"i": 0}, {"i": 1}]
-    warnings = [record for record in caplog.records
-                if record.name == "repro.experiments.runner"]
-    assert len(warnings) == 1
-    assert "RuntimeError" in warnings[0].getMessage()
-    assert "no bundle at this scale" in warnings[0].getMessage()
-
-
 class _UnattributableExperiment(_BundlelessExperiment):
     """Two trivial shards; the manifest attribution record always fails."""
 

@@ -2,7 +2,7 @@
 
 Covers the allocator round trip (hypothesis-driven alloc/free/wrap
 sequences with invariant checks), generation-tag staleness detection,
-content interning across a fork, the waveform glue, and the leak
+fork children as read-only clients, the waveform glue, and the leak
 harness: no ``/dev/shm`` segment may survive ``destroy()`` — or a
 :class:`~repro.serving.service.DetectionService` ``stop()``, whatever
 happened to the workers (see also ``test_fault_injection.py``).
@@ -52,8 +52,8 @@ class TestAllocator:
         view = arena.view(ref)
         np.testing.assert_array_equal(view, data)
         assert not view.flags.writeable
-        assert arena.owns(view)
-        assert not arena.owns(data)
+        assert np.shares_memory(view, arena.view(ref))
+        assert not np.shares_memory(data, arena.view(ref))
 
     def test_alloc_none_when_capacity_exhausted(self, arena):
         assert arena.write(np.zeros(arena.capacity_bytes // 8)) is not None
@@ -150,36 +150,28 @@ class TestAllocator:
             a.destroy()
 
 
-# ----------------------------------------------------------------- interning
+# ---------------------------------------------------------------- fork child
 class TestInterning:
-    def test_intern_is_idempotent_and_owned(self, arena):
-        data = _array(128)
-        first = arena.intern("k", data)
-        second = arena.intern("k", _array(128, seed=9))  # key wins, not bytes
-        np.testing.assert_array_equal(first, data)
-        np.testing.assert_array_equal(second, data)
-        assert arena.owns(first) and arena.owns(second)
-
-    def test_find_missing_returns_none(self, arena):
-        assert arena.find("missing") is None
+    """A fork child reads the parent's slots and never allocates."""
 
     def test_fork_child_reads_parent_interned_entries(self, arena):
         data = _array(256, seed=3)
-        arena.intern("clip", data)
+        ref = arena.write(data)
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
 
         def child(q):
-            found = arena.find("clip")
-            fresh = arena.intern("new-key", _array(8))
-            q.put((found is not None and bool(np.array_equal(found, data)),
-                   fresh is None, arena.is_owner))
+            seen = arena.view(ref)
+            fresh = arena.write(_array(8))
+            q.put((bool(np.array_equal(seen, data)), fresh is None,
+                   arena.is_owner))
 
         proc = ctx.Process(target=child, args=(queue,))
         proc.start()
         found_ok, fresh_is_none, child_owns = queue.get(timeout=10)
         proc.join(timeout=10)
-        assert found_ok, "child could not read the pre-fork interned entry"
+        assert not proc.is_alive()
+        assert found_ok, "child could not read the parent's pre-fork slot"
         assert fresh_is_none, "a fork child must never allocate"
         assert not child_owns
 
@@ -197,7 +189,8 @@ class TestWaveformGlue:
         assert restored.text == "hello"
         assert restored.label == "benign"
         assert restored.metadata == {"x": 1}
-        assert arena.owns(restored.samples)  # zero-copy, no ingest copy
+        # Zero-copy: the waveform wraps the slot itself, no ingest copy.
+        assert np.shares_memory(restored.samples, arena.view(clip.ref))
 
     def test_restore_raises_on_reclaimed_slot(self, arena):
         clip = share_waveform(arena, Waveform(samples=_array(64)))
@@ -211,61 +204,6 @@ class TestWaveformGlue:
             assert share_waveform(a, Waveform(samples=_array(4096))) is None
         finally:
             a.destroy()
-
-
-# ------------------------------------------------------- engine sample arena
-class TestEngineAdoption:
-    def test_transcribe_batch_adopts_inputs_bit_identically(self, ds0,
-                                                            asr_suite,
-                                                            synthesizer):
-        from repro.pipeline.engine import TranscriptionEngine
-
-        clips = [synthesizer.synthesize(text)
-                 for text in ("open the front door",
-                              "the storm passed over the hills")]
-        baseline = TranscriptionEngine(ds0, [asr_suite["DS1"]], workers=0,
-                                       cache=False)
-        expected = baseline.transcribe_batch(clips)
-        a = ShmArena(1 << 22)
-        try:
-            engine = TranscriptionEngine(ds0, [asr_suite["DS1"]], workers=0,
-                                         cache=False, sample_arena=a)
-            adopted = engine._adopt_samples(clips)
-            assert all(a.owns(clip.samples) for clip in adopted)
-            got = engine.transcribe_batch(clips)
-            assert [s.target.text for s in got] \
-                == [s.target.text for s in expected]
-            assert [s.auxiliary_texts for s in got] \
-                == [s.auxiliary_texts for s in expected]
-            # A replayed batch reuses the interned entries: the arena
-            # holds one resident copy per distinct clip, not per batch.
-            live = a.live_slots
-            engine.transcribe_batch(clips)
-            assert a.live_slots == live
-        finally:
-            a.destroy()
-
-    def test_shared_sample_arena_is_env_gated(self, monkeypatch):
-        from repro.pipeline import engine as engine_mod
-
-        engine_mod.get_shared_sample_arena.cache_clear()
-        monkeypatch.delenv(engine_mod.SAMPLE_ARENA_ENV, raising=False)
-        assert engine_mod.get_shared_sample_arena() is None
-
-        engine_mod.get_shared_sample_arena.cache_clear()
-        monkeypatch.setenv(engine_mod.SAMPLE_ARENA_ENV, "2")
-        a = engine_mod.get_shared_sample_arena()
-        try:
-            assert a is not None
-            assert a.capacity_bytes == 2 << 20
-        finally:
-            engine_mod.get_shared_sample_arena.cache_clear()
-            if a is not None:
-                a.destroy()
-
-        monkeypatch.setenv(engine_mod.SAMPLE_ARENA_ENV, "not-a-number")
-        assert engine_mod.get_shared_sample_arena() is None
-        engine_mod.get_shared_sample_arena.cache_clear()
 
 
 # -------------------------------------------------------------- leak harness

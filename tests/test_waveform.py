@@ -1,7 +1,7 @@
 """The Waveform's read-only samples and its memoised content fingerprint.
 
-Every content-cache key (transcriptions, front-end features, the sample
-arena) derives from :attr:`Waveform.fingerprint`.  These tests spy on
+Every content-cache key (transcriptions, front-end features) derives
+from :attr:`Waveform.fingerprint`.  These tests spy on
 its one hashing call site to pin "hash each clip once", and check the
 immutability that keeps a memoised fingerprint from going stale.
 """
@@ -80,31 +80,23 @@ def test_detect_hashes_a_new_clip_once_and_a_replay_never(
 
 def test_batch_through_a_sample_arena_hashes_each_distinct_clip_once(
         asr_suite, speech, hashes):
-    from repro.serving.arena import ShmArena
-
-    arena = ShmArena(4 << 20)
-    try:
-        engine = TranscriptionEngine(
-            asr_suite["DS0"], [asr_suite["DS1"]], workers=2,
-            cache=TranscriptionCache(), sample_arena=arena,
-            feature_engine=FeatureEngine(cache=FeatureCache()))
-        a, b = _fresh(speech), _fresh(speech[: len(speech) // 2])
-        with engine:
-            suites = engine.transcribe_batch([a, b, a])
-        assert sorted(hashes) == sorted([len(a), len(b)])
-        assert suites[0].target.text == suites[2].target.text
-    finally:
-        arena.destroy()
+    """A pooled batch with a repeated clip hashes each distinct clip once."""
+    engine = TranscriptionEngine(
+        asr_suite["DS0"], [asr_suite["DS1"]], workers=2,
+        cache=TranscriptionCache(),
+        feature_engine=FeatureEngine(cache=FeatureCache()))
+    a, b = _fresh(speech), _fresh(speech[: len(speech) // 2])
+    with engine:
+        suites = engine.transcribe_batch([a, b, a])
+    assert sorted(hashes) == sorted([len(a), len(b)])
+    assert suites[0].target.text == suites[2].target.text
 
 
 def test_rehoming_keeps_the_fingerprint(speech, hashes):
+    """The fingerprint is memoised; a derived clip is new content."""
     wave = _fresh(speech)
     fingerprint = wave.fingerprint
-    frozen = np.array(speech)
-    frozen.flags.writeable = False
-    moved = wave.rehomed(frozen)
-    assert moved.samples is frozen
-    assert moved.fingerprint == fingerprint
+    assert wave.fingerprint == fingerprint
     assert len(hashes) == 1
     # New samples are new content: hashed afresh.
     assert wave.clipped(0.1).fingerprint != fingerprint
